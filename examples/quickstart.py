@@ -33,8 +33,9 @@ def main() -> None:
         f"mean={stretch.mean_stretch:.2f} (bound {result.stretch_bound})"
     )
 
-    # The real distributed execution — same seed, bit-identical spanner,
-    # with exact message and round metering.
+    # The distributed construction — same seed, bit-identical spanner,
+    # with the exact messages and rounds of the message-passing run
+    # (derived from the trace; simulate_sampler executes the program).
     dist = build_spanner_distributed(net, params)
     assert dist.edges == result.edges, "drivers must agree"
     assert dist.messages is not None

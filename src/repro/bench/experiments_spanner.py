@@ -15,7 +15,7 @@ from repro.bench.workloads import dense_graph, density_sweep, size_sweep
 from repro.baselines import baswana_sen_messages_estimate
 from repro.core import SamplerParams, build_spanner
 from repro.core.accounting import expected_rounds, expected_total_messages
-from repro.core.distributed import build_spanner_distributed
+from repro.core.distributed import simulate_sampler
 from repro.core.trials import NodeLabel
 from repro.graphs import dense_gnm, erdos_renyi
 
@@ -184,7 +184,7 @@ def run_e4(scale: str = "quick") -> TableResult:
     for k in (1, 2):
         for h in hs:
             params = SamplerParams(k=k, h=h, seed=3)
-            result = build_spanner_distributed(net, params)
+            result = simulate_sampler(net, params)
             assert result.rounds == expected_rounds(params), "E4: schedule mismatch"
             ratio = result.rounds / (3**k * h)
             ratios.append(ratio)

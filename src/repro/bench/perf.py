@@ -1,8 +1,9 @@
 """The performance-regression harness (``python -m repro.bench --perf``).
 
 Times the simulator's hot kernels — centralized spanner construction on
-three graph families × three sizes, the *distributed* construction under
-the active scheduler with its dense baseline (``spanner_dist/*``), the
+three graph families × three sizes, the message-passing oracle of the
+distributed construction (``simulate_sampler``) under the active
+scheduler with its dense baseline (``spanner_dist/*``), the
 flood-schedule derivation on a spanner of each family (``flood/*``,
 including the vector-only ``n10000`` instances), the exact adjacent-pair
 stretch measurement (``stretch/*``), the end-to-end one- and
@@ -80,7 +81,7 @@ from repro.algorithms import (
 )
 from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
-from repro.core.distributed import build_spanner_distributed
+from repro.core.distributed import build_spanner_distributed, simulate_sampler
 from repro.dynamic import ChurnPlan, apply_churn, repair_spanner
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local.network import Network
@@ -481,16 +482,14 @@ def _baseline_label(name: str) -> str:
 
 def _spanner_dist(family: str):
     def run(net: Network) -> object:
-        return build_spanner_distributed(net, _DIST_PARAMS[family])
+        return simulate_sampler(net, _DIST_PARAMS[family])
 
     return run
 
 
 def _spanner_dist_dense(family: str):
     def run(net: Network) -> object:
-        return build_spanner_distributed(
-            net, _DIST_PARAMS[family], scheduler="dense"
-        )
+        return simulate_sampler(net, _DIST_PARAMS[family], scheduler="dense")
 
     return run
 
@@ -1123,7 +1122,9 @@ def render_readme_section(doc: dict) -> str:
         )
     lines.append("")
     lines.append(
-        "`spanner_dist/*` kernels time the distributed `Sampler` under the "
+        "`spanner_dist/*` kernels time the message-passing distributed "
+        "`Sampler` (`simulate_sampler`, the oracle of the derived default "
+        "construction, DESIGN.md §3.14) under the "
         "active-set scheduler; their dense-baseline column times the same "
         "input with `scheduler=\"dense\"` (identical `RunReport`s, "
         "DESIGN.md §3.6).  `flood/*` kernels time the Lemma 12 schedule "

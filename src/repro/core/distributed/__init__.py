@@ -17,10 +17,13 @@ no coordination messages are needed for control flow).
 The module guarantees and the test suite asserts: for a given seed the
 distributed run produces **the same spanner, labels, centers, joins, and
 finishes** as the centralized driver, and its exact message counts match
-the closed-form model of :mod:`repro.core.accounting`.
+the closed-form model of :mod:`repro.core.accounting`.  That is why
+:func:`build_spanner_distributed` derives the run's result instead of
+executing it, and :func:`simulate_sampler` executes it as the oracle
+(DESIGN.md §3.14).
 """
 
-from repro.core.distributed.driver import build_spanner_distributed
+from repro.core.distributed.driver import build_spanner_distributed, simulate_sampler
 from repro.core.distributed.schedule import PhaseKind, Schedule
 
-__all__ = ["PhaseKind", "Schedule", "build_spanner_distributed"]
+__all__ = ["PhaseKind", "Schedule", "build_spanner_distributed", "simulate_sampler"]

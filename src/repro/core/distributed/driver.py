@@ -1,36 +1,95 @@
-"""Run the distributed ``Sampler`` and assemble a :class:`SpannerResult`.
+"""The distributed ``Sampler``'s result: derived by default, simulated as oracle.
 
-The driver wires :class:`~repro.core.distributed.program.SamplerProgram`
-into the :mod:`repro.local` runtime, then reconstructs the execution
-trace from the leaders' archived records.  The reconstructed trace
-carries everything the centralized trace's :meth:`signature` compares
-(populations, labels, centers, joins, unclustered sets, spanner edges
-per level) — the equality of the two signatures is the reproduction's
-core integration test.
+:func:`build_spanner_distributed` returns what the message-passing run
+returns without running it (DESIGN.md §3.14).  The spanner and the
+hierarchy come from the centralized driver, whose trace the distributed
+run reproduces level for level; the messages and rounds are derived
+from that trace and the global :class:`Schedule`
+(:func:`repro.core.accounting.derived_message_stats`).
+
+:func:`simulate_sampler` is the oracle: it wires
+:class:`~repro.core.distributed.program.SamplerProgram` into the
+:mod:`repro.local` runtime, meters every message, and reconstructs the
+trace from the leaders' archived records.  The test suite asserts the
+two results are equal in full — edges, trace, rounds, and ``total``,
+``by_tag`` and ``per_round`` of the messages.
 
 Fields the distributed view cannot observe locally (per-node degrees in
-``G_j``, active/stale edge splits, tree heights) are filled with ``-1`` /
-empty markers; analyses needing them use the centralized trace.
+``G_j``, active/stale edge splits, tree heights, finished clusters) are
+filled with ``-1`` / empty markers on both paths; analyses needing them
+use the centralized trace.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 
 from repro import obs
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
 from repro.core.params import SamplerParams
+from repro.core.sampler import build_spanner
 from repro.core.spanner import SpannerResult
 from repro.core.trace import LevelTrace, NodeLevelTrace, SamplerTrace
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
+from repro.local.knowledge import Knowledge
 from repro.local.network import Network
 from repro.local.runtime import run_program
 
-__all__ = ["build_spanner_distributed"]
+__all__ = ["build_spanner_distributed", "simulate_sampler"]
 
 
 def build_spanner_distributed(
+    network: Network, params: SamplerParams
+) -> SpannerResult:
+    """The distributed ``Sampler``'s exact result, derived from the
+    centralized trace instead of simulated message by message.
+
+    Equal in full to :func:`simulate_sampler` for every input it
+    accepts, and like it refuses ``KT0`` networks: the protocol needs
+    unique edge ids.
+    """
+    # Lazy: accounting imports the schedule from this package.
+    from repro.core.accounting import derived_message_stats
+
+    if network.knowledge is Knowledge.KT0:
+        raise ProtocolError("Sampler requires unique edge IDs (not KT0)")
+    rounds = Schedule.build(params).total_rounds
+    with obs.span(
+        "build/distributed", n=network.n, m=network.m, engine="derived"
+    ) as build_span:
+        central = build_spanner(network, params)
+        trace = SamplerTrace(
+            n=network.n,
+            m=network.m,
+            params=params,
+            levels=[_project(level) for level in central.trace.levels],
+        )
+        messages = derived_message_stats(network, trace)
+        build_span.set(rounds=rounds, messages=messages.total)
+    return SpannerResult(
+        network=network,
+        params=params,
+        edges=central.edges,
+        trace=trace,
+        messages=messages,
+        rounds=rounds,
+    )
+
+
+def _project(level: LevelTrace) -> LevelTrace:
+    """A centralized level as the distributed run records it."""
+    return replace(
+        level,
+        active_edges=-1,
+        stale_edges=-1,
+        cluster_heights={},
+        nodes={vid: node._replace(degree=-1) for vid, node in level.nodes.items()},
+    )
+
+
+def simulate_sampler(
     network: Network,
     params: SamplerParams,
     *,
@@ -38,6 +97,9 @@ def build_spanner_distributed(
     engine: str | None = None,
 ) -> SpannerResult:
     """Execute ``Sampler`` as a real message-passing LOCAL algorithm.
+
+    The oracle of :func:`build_spanner_distributed`, with metered
+    messages.
 
     ``scheduler`` selects the stepping discipline: ``"active"``
     (default) steps only nodes with pending messages or due wake rounds
@@ -52,7 +114,7 @@ def build_spanner_distributed(
     """
     schedule = Schedule.build(params)
     with obs.span(
-        "build/distributed", n=network.n, m=network.m
+        "build/distributed", n=network.n, m=network.m, engine="simulate"
     ) as build_span:
         report = run_program(
             network,

@@ -17,8 +17,10 @@ class SpannerResult:
     """A constructed spanner ``H = (V, S)`` plus execution evidence.
 
     ``messages`` is ``None`` for the centralized driver and holds the
-    exact metered counts for the distributed driver.  ``rounds`` follows
-    the same convention.
+    distributed run's exact counts for the distributed driver: derived
+    from the trace and the schedule by ``build_spanner_distributed``,
+    metered by its oracle ``simulate_sampler`` (DESIGN.md §3.14), and
+    equal either way.  ``rounds`` follows the same convention.
 
     ``provenance`` is the fingerprint chain of ancestor *graphs* a
     repaired spanner descends from, oldest first (empty for a fresh

@@ -56,32 +56,30 @@ class RootedTree:
     def height(self) -> int:
         return max(self.depths().values(), default=0)
 
-    def diameter(self) -> int:
-        """Exact diameter of the tree seen as an undirected graph."""
+    def distances_from(self, source: int) -> dict[int, int]:
+        """Hop distance from ``source`` to every member, the tree seen
+        as an undirected graph."""
         adjacency: dict[int, list[int]] = {v: [] for v in self.members}
         for child, (par, _eid) in self.parent.items():
             adjacency[child].append(par)
             adjacency[par].append(child)
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for nxt in adjacency[node]:
+                if nxt not in dist:
+                    dist[nxt] = dist[node] + 1
+                    queue.append(nxt)
+        if len(dist) != self.size:
+            raise ValidationError("tree is not connected")
+        return dist
 
-        def farthest(start: int) -> tuple[int, int]:
-            dist = {start: 0}
-            queue = deque([start])
-            far, far_d = start, 0
-            while queue:
-                node = queue.popleft()
-                for nxt in adjacency[node]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[node] + 1
-                        if dist[nxt] > far_d:
-                            far, far_d = nxt, dist[nxt]
-                        queue.append(nxt)
-            if len(dist) != self.size:
-                raise ValidationError("tree is not connected")
-            return far, far_d
-
-        end, _ = farthest(self.root)
-        _, diameter = farthest(end)
-        return diameter
+    def diameter(self) -> int:
+        """Exact diameter of the tree seen as an undirected graph."""
+        dist = self.distances_from(self.root)
+        end = max(dist, key=dist.__getitem__)
+        return max(self.distances_from(end).values())
 
     def edge_ids(self) -> frozenset[int]:
         return frozenset(eid for _parent, eid in self.parent.values())

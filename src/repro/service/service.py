@@ -320,8 +320,8 @@ class SimulationService:
         # Worker count for the centralized construction work the service
         # performs itself (incremental repairs).  ``None`` defers to
         # ``REPRO_BUILD_JOBS`` at call time.  Full rebuilds on a cache
-        # miss are the store's *distributed* metered construction and
-        # are unaffected — message metering is the artifact there.
+        # miss are the store's *distributed* construction and are
+        # unaffected — its message accounting is the artifact there.
         self._build_jobs = build_jobs
         self.store = store if store is not None else ArtifactStore()
         self.metrics = ServiceMetrics()
@@ -588,12 +588,7 @@ class SimulationService:
                     self._served.add(fingerprint)
                     return repaired, FetchInfo("repaired")
             known = fingerprint in self._served or fingerprint in self._lineage
-            spanner, info = self.store.fetch_spanner(
-                network,
-                params,
-                scheduler=request.scheduler,
-                round_engine=request.round_engine,
-            )
+            spanner, info = self.store.fetch_spanner(network, params)
             if info.source == "built" and known:
                 self.metrics.bump(rebuilds=1)
         self._served.add(fingerprint)

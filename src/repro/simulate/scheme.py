@@ -7,10 +7,13 @@ exponent and the message exponent coincide, yielding
 * message complexity ``O~(t * n^{1 + 2/(2^{gamma+1}-1)})`` and
 * round complexity ``O(3^gamma * t + 6^gamma)``
 
-for any ``t``-round payload.  The construction stage runs the real
-distributed ``Sampler`` (metered), and the simulation stage floods the
-payload's initial knowledge ``alpha * t`` rounds over the constructed
-spanner and replays locally (:mod:`repro.simulate.transformer`).
+for any ``t``-round payload.  The construction stage yields the
+distributed ``Sampler``'s result — its spanner, trace, messages and
+rounds derived from the centralized trace and the global schedule,
+equal to the metered message-passing run (DESIGN.md §3.14) — and the
+simulation stage floods the payload's initial knowledge ``alpha * t``
+rounds over the constructed spanner and replays locally
+(:mod:`repro.simulate.transformer`).
 """
 
 from __future__ import annotations
@@ -106,14 +109,15 @@ def run_one_stage(
     (used by experiments that tune the practical constants).  ``engine``
     selects the simulation-stage implementation: the array-native
     ``"fast"`` path or the literal ``"runtime"`` baseline; both produce
-    identical reports (DESIGN.md §3.5).  ``scheduler`` selects the round
-    engine for every kernel execution in the pipeline — the distributed
-    construction stage and, under ``engine="runtime"``, the simulated
-    flood; ``"dense"`` is the step-everyone baseline (DESIGN.md §3.6).
-    ``distance_engine`` selects the fast path's distance plane
-    (DESIGN.md §3.7) and ``round_engine`` the round engine backing
-    every kernel execution (DESIGN.md §3.10); every combination
-    produces identical reports.
+    identical reports (DESIGN.md §3.5).  ``scheduler`` selects the
+    stepping discipline of the simulated flood under
+    ``engine="runtime"``; ``"dense"`` is the step-everyone baseline
+    (DESIGN.md §3.6).  ``distance_engine`` selects the fast path's
+    distance plane (DESIGN.md §3.7) and ``round_engine`` the round
+    engine backing every kernel execution of the simulation stage
+    (DESIGN.md §3.10); every combination produces identical reports.
+    The construction stage has no knob: its result is derived, not
+    interpreted (DESIGN.md §3.14).
 
     ``store`` (an :class:`~repro.store.ArtifactStore`, or ``None`` for
     the ``REPRO_STORE``-driven process default) reuses the
@@ -130,16 +134,9 @@ def run_one_stage(
     ) as scheme_span:
         active_store = resolve_store(store)
         if active_store is not None:
-            spanner = active_store.spanner(
-                network,
-                sampler_params,
-                scheduler=scheduler,
-                round_engine=round_engine,
-            )
+            spanner = active_store.spanner(network, sampler_params)
         else:
-            spanner = build_spanner_distributed(
-                network, sampler_params, scheduler=scheduler, engine=round_engine
-            )
+            spanner = build_spanner_distributed(network, sampler_params)
         simulation = simulate_over_spanner(
             network,
             spanner.edges,

@@ -99,9 +99,10 @@ def run_two_stage(
     ``engine`` selects the simulation-stage implementation for both
     simulated stages — ``"fast"`` (array-native flood + shared replay)
     or ``"runtime"`` (the literal baseline); reports are identical.
-    ``scheduler`` selects the round engine for every kernel execution
-    (stage-1 construction and, under ``engine="runtime"``, both
-    simulated floods); ``"dense"`` is the baseline (DESIGN.md §3.6).
+    ``scheduler`` selects the stepping discipline of both simulated
+    floods under ``engine="runtime"``; ``"dense"`` is the baseline
+    (DESIGN.md §3.6).  The stage-1 construction is derived (DESIGN.md
+    §3.14) and takes no engine knob.
     ``distance_engine`` selects the fast path's distance plane
     (DESIGN.md §3.7) and ``round_engine`` the round engine backing
     every kernel execution (DESIGN.md §3.10); every combination
@@ -119,16 +120,9 @@ def run_two_stage(
 
     active_store = resolve_store(store)
     if active_store is not None:
-        stage1 = active_store.spanner(
-            network,
-            stage1_params,
-            scheduler=scheduler,
-            round_engine=round_engine,
-        )
+        stage1 = active_store.spanner(network, stage1_params)
     else:
-        stage1 = build_spanner_distributed(
-            network, stage1_params, scheduler=scheduler, engine=round_engine
-        )
+        stage1 = build_spanner_distributed(network, stage1_params)
 
     stage2_algo = BaswanaSenLocal(k=stage2_k, coin_seed=seed)
     stage2_sim = simulate_over_spanner(

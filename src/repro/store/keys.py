@@ -9,11 +9,9 @@ serialized with sorted keys and no whitespace, so a key is a pure
 function of the *content* that determines the artifact:
 
 * ``spanner`` — graph fingerprint + every :class:`SamplerParams` field
-  (the construction is a deterministic function of exactly those; the
-  round-engine ``scheduler`` is deliberately **excluded** because the
-  active and dense schedulers produce identical ``RunReport``s — the
-  equivalence contract of DESIGN.md §3.6, enforced by
-  ``tests/test_scheduler.py``);
+  (the construction is a deterministic function of exactly those: the
+  derived result equals the message-passing run under every scheduler
+  and round engine, DESIGN.md §3.6 / §3.14);
 * ``flood`` — *spanner* fingerprint + the resolved distance engine.
   The radius is **not** part of the key: one
   :class:`~repro.store.serialize.FloodProfile` entry per spanner holds

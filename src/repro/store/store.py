@@ -269,39 +269,18 @@ class ArtifactStore:
     # spanners
     # ------------------------------------------------------------------
     def fetch_spanner(
-        self,
-        network: Network,
-        params: SamplerParams,
-        *,
-        scheduler: str = "active",
-        round_engine: str | None = None,
+        self, network: Network, params: SamplerParams
     ) -> tuple[SpannerResult, FetchInfo]:
-        """Get-or-build the distributed ``Sampler`` construction.
-
-        ``scheduler`` and ``round_engine`` are forwarded to the builder
-        on a miss but are not part of the key: every scheduler/engine
-        combination produces identical ``RunReport``s (the DESIGN.md
-        §3.6 / §3.10 equivalence contracts), so a hit under any of them
-        is exact.
-        """
+        """Get-or-build the distributed ``Sampler`` construction."""
         if not obs.enabled():
-            return self._fetch_spanner_impl(
-                network, params, scheduler=scheduler, round_engine=round_engine
-            )
+            return self._fetch_spanner_impl(network, params)
         with obs.span("store/fetch_spanner", n=network.n) as fetch_span:
-            result, info = self._fetch_spanner_impl(
-                network, params, scheduler=scheduler, round_engine=round_engine
-            )
+            result, info = self._fetch_spanner_impl(network, params)
             fetch_span.set(source=info.source)
         return result, info
 
     def _fetch_spanner_impl(
-        self,
-        network: Network,
-        params: SamplerParams,
-        *,
-        scheduler: str = "active",
-        round_engine: str | None = None,
+        self, network: Network, params: SamplerParams
     ) -> tuple[SpannerResult, FetchInfo]:
         cached, info = self.peek_spanner(network, params)
         if cached is not None:
@@ -320,9 +299,7 @@ class ArtifactStore:
                 if cached is not None:
                     return cached, info
             self.stats.bump(misses=1)
-            built = build_spanner_distributed(
-                network, params, scheduler=scheduler, engine=round_engine
-            )
+            built = build_spanner_distributed(network, params)
             self.put_spanner(built)
         return built, FetchInfo("built")
 
@@ -380,17 +357,8 @@ class ArtifactStore:
         failed peek the service answered by repair instead of build)."""
         self.stats.bump(misses=1)
 
-    def spanner(
-        self,
-        network: Network,
-        params: SamplerParams,
-        *,
-        scheduler: str = "active",
-        round_engine: str | None = None,
-    ) -> SpannerResult:
-        return self.fetch_spanner(
-            network, params, scheduler=scheduler, round_engine=round_engine
-        )[0]
+    def spanner(self, network: Network, params: SamplerParams) -> SpannerResult:
+        return self.fetch_spanner(network, params)[0]
 
     # ------------------------------------------------------------------
     # flood schedules

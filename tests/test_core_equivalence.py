@@ -3,7 +3,9 @@
 For identical seeds, the two drivers must produce the same spanner, the
 same cluster hierarchy (labels, centers, joins, finishes), and the
 distributed run's metered message counts must equal the closed-form
-accounting model tag for tag.
+accounting model tag for tag.  The distributed side is the
+message-passing oracle, ``simulate_sampler``; the derived default is
+checked against it in ``test_derived_accounting``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.core.accounting import (
     expected_rounds,
     expected_total_messages,
 )
-from repro.core.distributed import Schedule, build_spanner_distributed
+from repro.core.distributed import Schedule, simulate_sampler
 from repro.graphs import caveman, complete_graph, erdos_renyi, torus
 
 CASES = [
@@ -53,32 +55,32 @@ class TestEquivalence:
     def test_same_spanner_edges(self, case):
         net, params = case
         cen = build_spanner(net, params)
-        dist = build_spanner_distributed(net, params)
+        dist = simulate_sampler(net, params)
         assert cen.edges == dist.edges
 
     def test_same_signature(self, case):
         net, params = case
         cen = build_spanner(net, params)
-        dist = build_spanner_distributed(net, params)
+        dist = simulate_sampler(net, params)
         assert cen.trace.signature() == dist.trace.signature()
 
     def test_accounting_matches_metered_counts(self, case):
         net, params = case
         cen = build_spanner(net, params)
-        dist = build_spanner_distributed(net, params)
+        dist = simulate_sampler(net, params)
         metered = {tag: n for tag, n in dist.messages.by_tag.items() if n}
         assert metered == dict(expected_message_counts(cen.trace))
         assert dist.messages.total == expected_total_messages(cen.trace)
 
     def test_rounds_match_schedule(self, case):
         net, params = case
-        dist = build_spanner_distributed(net, params)
+        dist = simulate_sampler(net, params)
         assert dist.rounds == expected_rounds(params)
 
     def test_distributed_cluster_sizes_match(self, case):
         net, params = case
         cen = build_spanner(net, params)
-        dist = build_spanner_distributed(net, params)
+        dist = simulate_sampler(net, params)
         for c_level, d_level in zip(cen.trace.levels, dist.trace.levels):
             assert c_level.cluster_sizes == d_level.cluster_sizes
 
@@ -108,7 +110,7 @@ class TestSeedGoldens:
     @pytest.mark.parametrize("name", [c[0] for c in CASES])
     def test_distributed_matches_seed_trace(self, name):
         _name, build, params = next(c for c in CASES if c[0] == name)
-        result = build_spanner_distributed(build(), params)
+        result = simulate_sampler(build(), params)
         digest = hashlib.sha256(repr(result.trace.signature()).encode()).hexdigest()
         assert digest == self.GOLDENS[name]
 
@@ -126,7 +128,7 @@ class TestSeedVariation:
         net = erdos_renyi(60, 0.15, seed=12)
         params = SamplerParams(k=2, h=2, seed=seed)
         cen = build_spanner(net, params)
-        dist = build_spanner_distributed(net, params)
+        dist = simulate_sampler(net, params)
         assert cen.edges == dist.edges
         assert cen.trace.signature() == dist.trace.signature()
 

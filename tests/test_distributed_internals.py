@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SamplerParams
-from repro.core.distributed import Schedule, build_spanner_distributed
+from repro.core.distributed import Schedule, simulate_sampler
 from repro.core.distributed.schedule import PhaseKind, tree_height_bound
 from repro.graphs import complete_graph, erdos_renyi
 
@@ -70,14 +70,14 @@ class TestMessageTags:
 
     def test_only_documented_tags_on_the_wire(self):
         net = erdos_renyi(60, 0.15, seed=2)
-        dist = build_spanner_distributed(net, SamplerParams(k=2, h=2, seed=3))
+        dist = simulate_sampler(net, SamplerParams(k=2, h=2, seed=3))
         assert dist.messages is not None
         used = {tag for tag, count in dist.messages.by_tag.items() if count}
         assert used <= self.EXPECTED
 
     def test_queries_equal_responses(self):
         net = erdos_renyi(60, 0.15, seed=2)
-        dist = build_spanner_distributed(net, SamplerParams(k=2, h=2, seed=3))
+        dist = simulate_sampler(net, SamplerParams(k=2, h=2, seed=3))
         assert dist.messages is not None
         assert dist.messages.by_tag["query"] == dist.messages.by_tag["response"]
         assert dist.messages.by_tag["status_req"] == dist.messages.by_tag["status_rep"]
@@ -85,7 +85,7 @@ class TestMessageTags:
     def test_tree_sessions_scale_with_cluster_mass(self):
         # gather and scatter costs are identical by construction
         net = complete_graph(50)
-        dist = build_spanner_distributed(
+        dist = simulate_sampler(
             net, SamplerParams(k=1, h=2, seed=4, c_query=0.4, c_target=0.5)
         )
         assert dist.messages is not None
@@ -96,7 +96,7 @@ class TestDistributedTraceShape:
     def test_levels_and_population(self):
         net = erdos_renyi(50, 0.2, seed=5)
         params = SamplerParams(k=2, h=1, seed=6)
-        dist = build_spanner_distributed(net, params)
+        dist = simulate_sampler(net, params)
         assert len(dist.trace.levels) == params.levels
         assert dist.trace.levels[0].population == net.n
         # every level-k node finishes with decision 'final'
@@ -106,7 +106,7 @@ class TestDistributedTraceShape:
 
     def test_spanner_edges_match_level_f_union(self):
         net = erdos_renyi(50, 0.2, seed=5)
-        dist = build_spanner_distributed(net, SamplerParams(k=1, h=2, seed=7))
+        dist = simulate_sampler(net, SamplerParams(k=1, h=2, seed=7))
         union: set[int] = set()
         for level in dist.trace.levels:
             union |= level.f_edges

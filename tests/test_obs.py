@@ -136,12 +136,16 @@ class TestDeterminism:
     def test_runtime_span_carries_roll_ups(self, net, obs_on):
         report = run_one_stage(net, MinIdAggregation(2), params=PARAMS, seed=0)
         records = obs.collector().finished()
-        runs = [r for r in records if r["name"] == "runtime/run"]
-        assert runs, "no runtime/run span recorded"
+        builds = [r for r in records if r["name"] == "build/distributed"]
+        assert builds, "no build/distributed span recorded"
+        assert all(r["attrs"]["engine"] == "derived" for r in builds)
         assert (
-            sum(r["attrs"]["messages"] for r in runs)
+            sum(r["attrs"]["messages"] for r in builds)
             == report.spanner.messages.total
         )
+        assert all(r["attrs"]["rounds"] == report.spanner.rounds for r in builds)
+        # the derived construction interprets no program
+        assert not [r for r in records if r["name"] == "runtime/run"]
         scheme = [r for r in records if r["name"] == "scheme/one_stage"]
         assert len(scheme) == 1
         assert scheme[0]["attrs"]["messages"] == report.simulation.messages.total

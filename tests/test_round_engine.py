@@ -27,7 +27,7 @@ from repro.algorithms import (
     run_direct,
 )
 from repro.core import SamplerParams
-from repro.core.distributed import build_spanner_distributed
+from repro.core.distributed import simulate_sampler
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
 from repro.errors import ProtocolError
@@ -321,8 +321,8 @@ class TestSamplerEngine:
     def test_spanner_results_identical(self, family):
         net = FAMILIES[family]()
         params = SamplerParams(k=1, h=3, seed=11, c_query=0.7, c_target=1.0)
-        vec = build_spanner_distributed(net, params, engine="vector")
-        ref = build_spanner_distributed(net, params, engine="reference")
+        vec = simulate_sampler(net, params, engine="vector")
+        ref = simulate_sampler(net, params, engine="reference")
         assert vec.edges == ref.edges
         assert vec.rounds == ref.rounds
         assert vec.trace.signature() == ref.trace.signature()
@@ -332,8 +332,8 @@ class TestSamplerEngine:
     def test_vector_engine_vs_dense_scheduler(self):
         net = FAMILIES["gnp"]()
         params = SamplerParams(k=2, h=2, seed=7)
-        vec = build_spanner_distributed(net, params, engine="vector")
-        dense = build_spanner_distributed(net, params, scheduler="dense")
+        vec = simulate_sampler(net, params, engine="vector")
+        dense = simulate_sampler(net, params, scheduler="dense")
         assert vec.edges == dense.edges
         assert vec.trace.signature() == dense.trace.signature()
         assert vec.messages.per_round == dense.messages.per_round

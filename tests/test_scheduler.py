@@ -20,7 +20,7 @@ import pytest
 from repro.algorithms import BallCollect, MinIdAggregation
 from repro.algorithms.runner import run_direct
 from repro.core import SamplerParams
-from repro.core.distributed import build_spanner_distributed
+from repro.core.distributed import simulate_sampler
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
 from repro.errors import ProtocolError
@@ -74,8 +74,8 @@ class TestSamplerEquivalence:
     def test_spanner_results_identical(self, family):
         net = FAMILIES[family]()
         params = SamplerParams(k=1, h=3, seed=11, c_query=0.7, c_target=1.0)
-        dense = build_spanner_distributed(net, params, scheduler="dense")
-        active = build_spanner_distributed(net, params, scheduler="active")
+        dense = simulate_sampler(net, params, scheduler="dense")
+        active = simulate_sampler(net, params, scheduler="active")
         assert dense.edges == active.edges
         assert dense.rounds == active.rounds
         assert dense.trace.signature() == active.trace.signature()
