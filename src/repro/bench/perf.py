@@ -81,8 +81,7 @@ from repro.algorithms import (
 )
 from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
-from repro.core.distributed import build_spanner_distributed, simulate_sampler
-from repro.dynamic import ChurnPlan, apply_churn, repair_spanner
+from repro.core.distributed import simulate_sampler
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local.network import Network
 from repro.service import ConcurrentSimulationService, SimulationService
@@ -149,7 +148,8 @@ def _gnp_array(n: int) -> Network:
 
 
 def _spanner(net: Network) -> object:
-    return build_spanner(net, _SPANNER_PARAMS)
+    """The default build: the columnar level engine in-process."""
+    return build_spanner(net, _SPANNER_PARAMS, jobs=1)
 
 
 def _spanner_par(net: Network) -> object:
@@ -394,31 +394,6 @@ def _concurrent_procs(built: tuple[Network, object]) -> object:
     return stats
 
 
-# repair/* kernels time the self-healing path (DESIGN.md §3.9): one
-# churn epoch hits a cached spanner, and the measured body repairs it
-# onto the mutated graph — replaying untouched cluster trials from the
-# parent trace, re-running only the churn-affected ones.  The baseline
-# is the store's real alternative on a miss: a cold distributed rebuild
-# of the same post-churn graph (acceptance: >= 3x at n=2000).
-_REPAIR_PLAN = ChurnPlan(seed=5, epochs=1, edge_removal=0.02, edge_addition=0.01)
-
-
-def _repair_input(net: Network) -> tuple[Network, object, Network, object]:
-    parent = build_spanner_distributed(net, _SPANNER_PARAMS)
-    child, log = apply_churn(net, _REPAIR_PLAN)
-    return net, parent, child, log
-
-
-def _repair(built: tuple) -> object:
-    _, parent, child, log = built
-    return repair_spanner(parent, child, log)
-
-
-def _repair_rebuild(built: tuple) -> object:
-    _, _, child, _ = built
-    return build_spanner_distributed(child, _SPANNER_PARAMS)
-
-
 # runtime_vec/* kernels time the array-native round engine (DESIGN.md
 # §3.10) against the reference per-node interpreter on one n=2000
 # instance each: a radius-2 runtime-engine flood on a *dense* G(n,m)
@@ -465,14 +440,13 @@ def _baseline_label(name: str) -> str:
         return "serial"
     if name.startswith("service/"):
         return "cold"
-    if name.startswith("repair/"):
-        return "rebuild"
     if name.startswith("runtime_vec/"):
         return "reference"
     if name.startswith(("spanner_par/", "spanner/")):
-        # the parallel-build kernels re-run the same input at jobs=1
-        # (note: "spanner/" does not prefix-match "spanner_dist/")
-        return "serial"
+        # the parallel-build kernels re-run the same input at jobs=1,
+        # the columnar engine in-process (note: "spanner/" does not
+        # prefix-match "spanner_dist/")
+        return "jobs=1"
     if name.startswith("obs/"):
         # obs/overhead measures the telemetry-off build and baselines
         # the same build with spans collecting: speedup == on-cost
@@ -507,15 +481,15 @@ def default_kernels() -> list[Kernel]:
     its reference interpreter on flood/gossip/algorithm bodies."""
     kernels: list[Kernel] = []
     # Scale kernels (DESIGN.md §3.11): the shard-parallel centralized
-    # build against its serial twin on the same input — bit-identical
-    # SpannerResults, so the recorded ``speedup`` is pure execution
-    # engine.  They run FIRST in the suite and, within each kernel,
-    # the measured body before the serial baseline: fork(2) workers
-    # inherit the parent heap copy-on-write, so a parent bloated by
-    # earlier kernels taxes every worker page-touch and understates
-    # the speedup by ~15-20%.  n=10^5 is the tentpole scale target and
-    # runs best-of-1: the body is seconds-long and the serial baseline
-    # doubles the bill.
+    # build against the same columnar engine run in-process at jobs=1
+    # on the same input — bit-identical SpannerResults, so the recorded
+    # ``speedup`` is pure process parallelism.  They run FIRST in the
+    # suite and, within each kernel, the measured body before the
+    # jobs=1 baseline: fork(2) workers inherit the parent heap
+    # copy-on-write, so a parent bloated by earlier kernels taxes every
+    # worker page-touch and understates the speedup by ~15-20%.
+    # n=10^5 is the tentpole scale target and runs best-of-1: the body
+    # is seconds-long and the baseline doubles the bill.
     kernels.append(
         Kernel(
             "spanner_par/gnp/n20000",
@@ -686,22 +660,6 @@ def default_kernels() -> list[Kernel]:
             repeats=1,
         )
     )
-    # repair/* kernels: incremental spanner repair after one churn
-    # epoch, with the cold distributed rebuild of the post-churn graph
-    # as the baseline (acceptance: >= 3x at n=2000, DESIGN.md §3.9).
-    for family, build in (
-        ("gnp", lambda: _repair_input(_gnp(2000))),
-        ("ba", lambda: _repair_input(barabasi_albert(2000, 4, seed=1))),
-    ):
-        kernels.append(
-            Kernel(
-                f"repair/{family}/n2000",
-                build,
-                _repair,
-                repeats=3,
-                baseline=_repair_rebuild,
-            )
-        )
     # runtime_vec/* kernels: the array-native round engine vs the
     # reference per-node interpreter on the same body (DESIGN.md §3.10).
     for label, make, build in (
@@ -806,7 +764,7 @@ def _progress_line(name: str, entry: dict) -> str:
     line = f"{name}: {entry['seconds']:.3f}s (n={entry['n']}, m={entry['m']})"
     if "baseline_seconds" in entry:
         # spanner_dist/* baselines time the dense scheduler, service/*
-        # the cold (empty-store) serve, repair/* the cold rebuild.
+        # the cold (empty-store) serve.
         label = _baseline_label(name)
         line += (
             f"; {label} baseline {entry['baseline_seconds']:.3f}s "
@@ -1114,8 +1072,8 @@ def render_readme_section(doc: dict) -> str:
     if flagship:
         lines.append("")
         lines.append(
-            f"Flagship comparison on `{flagship['kernel']}`: the incremental "
-            f"flat-array path runs in {flagship['optimized_seconds']:.3f}s vs "
+            f"Flagship comparison on `{flagship['kernel']}`: the columnar "
+            f"level engine runs in {flagship['optimized_seconds']:.3f}s vs "
             f"{flagship['reference_seconds']:.3f}s for the seed recount path — "
             f"a **{flagship['speedup']:.2f}x** speedup on the same trace-"
             f"identical output."
@@ -1139,10 +1097,7 @@ def render_readme_section(doc: dict) -> str:
         "and 4 thread workers and across 2 processes sharing one locked "
         "store directory; their serial baseline replays the identical "
         "workload through a 1-worker `submit()` loop (DESIGN.md §3.12)."
-        "  `repair/*` kernels time the incremental spanner "
-        "repair after one churn epoch; their rebuild baseline is a cold "
-        "distributed construction of the same post-churn graph "
-        "(DESIGN.md §3.9).  `runtime_vec/*` kernels time the array-"
+        "  `runtime_vec/*` kernels time the array-"
         "native round engine on a runtime flood (dense `G(n,m)`, the "
         "paper's `m >> n` regime), a push–pull gossip run, and a "
         "registered LOCAL algorithm; their reference baseline re-runs "
@@ -1150,9 +1105,10 @@ def render_readme_section(doc: dict) -> str:
         "(`REPRO_ROUND_ENGINE=reference`, identical `RunReport`s, "
         "DESIGN.md §3.10).  `spanner_par/*` and `spanner/gnp/n100000` "
         "time the shard-parallel centralized build (`jobs=2`, "
-        "DESIGN.md §3.11); their serial baseline re-runs the identical "
-        "input at `jobs=1` — bit-identical `SpannerResult`s, so the "
-        "speedup is pure execution engine.  Every entry also records "
+        "DESIGN.md §3.11); their baseline re-runs the identical input "
+        "at `jobs=1`, the same columnar engine in-process — "
+        "bit-identical `SpannerResult`s, so the speedup is pure process "
+        "parallelism.  Every entry also records "
         "`peak_rss_mb` (process high-water RSS including build "
         "workers); gate it with `--memory-budget MB`."
     )

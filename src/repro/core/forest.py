@@ -87,7 +87,7 @@ class ClusterForest:
         ``joins`` is the level's ``(joiner, center, eid)`` sequence and
         ``joiner_ends``/``center_ends`` the corresponding physical
         endpoints of each edge, already resolved (and therefore already
-        validated) by the caller — the parallel level loop, which has
+        validated) by the caller — the columnar level loop, which has
         them as arrays anyway.  State mutations are exactly those of
         repeated :meth:`attach` calls.
         """
@@ -126,36 +126,6 @@ class ClusterForest:
 
     def heights(self) -> dict[int, int]:
         return {cid: self.tree(cid).height for cid in self._members}
-
-    def heights_of(self, cids) -> dict[int, int]:
-        """Tree heights for ``cids`` via one memoized-depth sweep.
-
-        Equivalent to ``{cid: self.tree(cid).height for cid in cids}``
-        but O(total members) instead of one BFS per cluster: each
-        physical node's depth is found by chasing parent pointers until
-        a node with a known depth, then the chased path is backfilled.
-        """
-        parent = self._parent
-        depth: dict[int, int] = {}
-        heights: dict[int, int] = {}
-        for cid in cids:
-            depth[cid] = 0
-            top = 0
-            for phys in self._members[cid]:
-                path: list[int] = []
-                node = phys
-                d = depth.get(node)
-                while d is None:
-                    path.append(node)
-                    node = parent[node][0]
-                    d = depth.get(node)
-                for hop in reversed(path):
-                    d += 1
-                    depth[hop] = d
-                if d > top:
-                    top = d
-            heights[cid] = top
-        return heights
 
     # ------------------------------------------------------------------
     def _reroot(self, old_root: int, new_root: int) -> None:

@@ -19,21 +19,23 @@ finished clusters that never announced (only possible for the rare
 ``STRANDED`` label) remain in ``X_v`` and are discovered and peeled via
 an ``active=False`` query response.
 
-Two execution strategies produce bit-identical traces (the
-``test_perf_contracts`` suite enforces this):
+Two level strategies produce bit-identical traces (the
+``test_perf_contracts`` and ``test_parallel_build`` suites enforce
+this):
 
-* **incremental** (the default): each cluster's dedup'd pool is carried
-  across levels and merged by symmetric difference on
-  :meth:`ClusterForest.attach` — an edge appearing in both merging pools
-  has both endpoint-incidences inside the merged cluster, i.e. it became
-  intra-cluster and cancels.  Finish announcements accumulate in
-  per-cluster ``dead`` sets (unioned on merge) and are subtracted only
-  when ``X_v`` is read.  Cluster lookups and edge endpoints come from
-  flat arrays (``ClusterForest.root_of``, ``Network.endpoints_flat``).
-* **reference**: the seed implementation — recount every pool from a
-  ``Counter`` over all member-incident edges at every level and rebuild
-  the neighbor maps from per-edge dict lookups.  Kept as the equivalence
-  baseline and as the ``--perf`` harness's speedup reference.
+* **columnar** (the default): each level is one call of the columnar
+  level engine (:mod:`repro.core.parallel`) — every pool derived at once
+  from array views of the graph, exhaustive trials as one vectorized
+  group-by, over-budget pools on a real ``TrialMachine``.  ``jobs=1``
+  runs the engine in-process; ``jobs>1`` shards it across worker
+  processes.  Finish announcements stay factored (receiver -> the
+  finished clusters that announced to it; finisher -> its payload) and
+  the engine applies them by membership.
+* **reference** (``incremental=False``): the seed implementation —
+  recount every pool from a ``Counter`` over all member-incident edges
+  at every level and rebuild the neighbor maps from per-edge dict
+  lookups.  It is the oracle the columnar engine is checked against and
+  the ``--perf`` harness's speedup reference.
 
 Randomness is drawn from per-``(purpose, level, cluster)`` streams of a
 :class:`~repro.rng.RngFactory` rooted at ``params.seed``, which is what
@@ -43,11 +45,18 @@ makes the centralized and distributed runs bit-identical.
 from __future__ import annotations
 
 import os
-import random
 from collections import Counter
+
+import numpy as np
 
 from repro import obs
 from repro.core.forest import ClusterForest
+from repro.core.parallel import (
+    IdObjects,
+    LevelEngine,
+    ParallelBuildEngine,
+    _concat_ranges,
+)
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.trace import FinishedCluster, LevelTrace, NodeLevelTrace, SamplerTrace
@@ -63,7 +72,7 @@ JOBS_ENV = "REPRO_BUILD_JOBS"
 
 def resolve_jobs(jobs: int | None) -> int:
     """Resolve the ``jobs=`` knob: explicit value, else ``REPRO_BUILD_JOBS``,
-    else 1 (the serial path)."""
+    else 1 (the columnar engine in-process, no worker processes)."""
     if jobs is None:
         raw = os.environ.get(JOBS_ENV, "").strip()
         if not raw:
@@ -78,7 +87,12 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 class SamplerRun:
-    """One centralized execution; exposed for step-by-step inspection."""
+    """One centralized execution; exposed for step-by-step inspection.
+
+    ``incremental=True`` (the default) runs every level on the columnar
+    level engine with ``jobs`` workers; ``incremental=False`` runs the
+    seed recount, the oracle.
+    """
 
     def __init__(
         self,
@@ -94,38 +108,28 @@ class SamplerRun:
         self.spanner_edges: set[int] = set()
         self.trace = SamplerTrace(n=network.n, m=network.m, params=params)
         self._rngf = RngFactory(params.seed)
-        self._active: set[int] = set(network.nodes())
-        self._phys_dead: dict[int, set[int]] = {}
+        # One int object per node and edge id, shared by everything the
+        # columnar strategy records (see IdObjects).
+        self._ids = IdObjects.of(network)
+        self._active: set[int] = set(self._ids.node_ids)
         self._finished: dict[int, FinishedCluster] = {}
         self._level_done = 0
         self._incremental = incremental
-        # jobs > 1 shards the per-level trial population across worker
-        # processes (repro.core.parallel); only meaningful on the
-        # incremental strategy — the reference strategy is the seed
-        # equivalence baseline and always runs serial.
+        # jobs > 1 shards the columnar engine across worker processes;
+        # the reference strategy is the oracle and always runs serial.
         self._jobs = resolve_jobs(jobs)
-        self._engine = None
+        self._engine: LevelEngine | None = None
         self._eid_row, self._ep_u, self._ep_v = network.endpoints_flat()
-        if incremental:
-            # Pool invariant: ``_pools[cid]`` holds exactly the edges with
-            # one endpoint-incidence inside cluster ``cid``.  Clusters that
-            # never merged are *absent*: they are level-0 singletons whose
-            # pool is simply ``network.incident(cid)``.
-            self._pools: dict[int, set[int]] = {}
-            self._dead: dict[int, set[int]] = {}
-            # Parallel levels keep announcements factored instead of
-            # eagerly unioned: ``_dead_pairs[receiver]`` is the set of
-            # finished clusters that announced to ``receiver``, and
-            # ``_payloads[finisher]`` the announced edge array.  The
-            # receiver's dead set is (by definition) the union of its
-            # announcers' payloads; workers apply it by membership
-            # without anyone ever materializing the union.
-            self._dead_pairs: dict[int, set[int]] = {}
-            self._payloads: dict[int, object] = {}
-            # Parallel levels stop maintaining ``_pools`` (workers derive
-            # every pool from the shared-memory root arrays); once unset,
-            # ``_live_edges`` falls back to recounting member incidences.
-            self._pools_valid = True
+        # Reference strategy: announced edges per receiving phys node.
+        self._phys_dead: dict[int, set[int]] = {}
+        # Columnar strategy: ``_dead_pairs[receiver]`` is the set of
+        # finished clusters that announced to cluster ``receiver``, and
+        # ``_payloads[finisher]`` the announced edge array.  The
+        # receiver's dead set is (by definition) the union of its
+        # announcers' payloads; the engine applies it by membership
+        # without anyone ever materializing the union.
+        self._dead_pairs: dict[int, set[int]] = {}
+        self._payloads: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # public driver
@@ -147,10 +151,10 @@ class SamplerRun:
         return result
 
     def close(self) -> None:
-        """Release the parallel engine (pool + shared memory), if any.
+        """Release the level engine (a ``jobs>1`` pool + shared memory).
 
         ``run()`` always calls this; step-by-step drivers should too
-        (the engine's own finalizer is the backstop)."""
+        (the parallel engine's own finalizer is the backstop)."""
         engine = self._engine
         if engine is not None:
             self._engine = None
@@ -170,48 +174,243 @@ class SamplerRun:
     def run_level(self, j: int) -> LevelTrace:
         if j != self._level_done:
             raise SimulationError(f"levels must run in order; expected {self._level_done}")
+        level = (
+            self._run_level_columnar
+            if self._incremental
+            else self._run_level_reference
+        )
         if not obs.enabled():
-            return self._run_level_inner(j)
-        parallel_path = bool(self._active and self._parallel_level_ok(j))
-        with obs.span(
-            "build/level", level=j, parallel=parallel_path
-        ) as level_span:
-            trace = self._run_level_inner(j)
+            return level(j)
+        with obs.span("build/level", level=j) as level_span:
+            trace = level(j)
             level_span.set(
                 population=trace.population, edges=len(trace.f_edges)
             )
         return trace
 
-    def _run_level_inner(self, j: int) -> LevelTrace:
-        if self._active and self._parallel_level_ok(j):
-            return self._run_level_parallel(j)
-        incremental = self._incremental
-        live = {cid: self._live_edges(cid) for cid in self._active}
-        if incremental:
-            by_neighbor = {
-                cid: self._group_by_neighbor(cid, edges) for cid, edges in live.items()
-            }
-            edge_neighbor = None
-        else:
-            by_neighbor = {
-                cid: self._group_by_neighbor_reference(cid, edges)
-                for cid, edges in live.items()
-            }
-            edge_neighbor = {
-                cid: {
-                    eid: other
-                    for other, bundle in groups.items()
-                    for eid in bundle
-                }
-                for cid, groups in by_neighbor.items()
-            }
-        sizes = {cid: self.forest.size(cid) for cid in self._active}
-        if incremental:
-            heights = self.forest.heights_of(self._active)
-        else:
-            heights = {cid: self.forest.tree(cid).height for cid in self._active}
+    # ------------------------------------------------------------------
+    # columnar strategy (repro.core.parallel)
+    # ------------------------------------------------------------------
+    def _run_level_columnar(self, j: int) -> LevelTrace:
+        """One invocation of ``Cluster_j`` on the columnar level engine.
 
-        machines = self._run_trials(j, live, by_neighbor, edge_neighbor)
+        The trial population comes back as one columnar
+        :class:`~repro.core.parallel.LevelPartial` whose reduce order is
+        independent of the shard count.
+        """
+        if self._engine is None:
+            self._engine = (
+                LevelEngine(self.network, self.params, self._ids)
+                if self._jobs == 1
+                else ParallelBuildEngine(
+                    self.network, self.params, self._ids, self._jobs
+                )
+            )
+        active_sorted = sorted(self._active)
+        pending = self._engine.submit_level(
+            j,
+            root_of=self.forest.root_of,
+            active_sorted=active_sorted,
+            dead_pairs=self._dead_pairs,
+            payloads=self._payloads,
+        )
+        # At jobs > 1 this bookkeeping overlaps worker execution: both
+        # read the same pre-level forest state (the workers from their
+        # shared-memory copy).
+        sizes, heights = self._sizes_and_heights(active_sorted)
+        part = self._engine.collect(pending)
+
+        ids = self._ids
+        nodes = part.node_traces(j, self.params, ids)
+        level_f = frozenset(ids.eids(part.fa_e))
+        self.spanner_edges |= level_f
+
+        if j < self.params.k:
+            centers = tuple(ids.nodes(part.centers))
+            joins = part.joins(ids)
+            clustered = np.concatenate(
+                [
+                    part.centers,
+                    np.asarray([v for v, _u, _e in joins], dtype=np.int64),
+                ]
+            )
+            unclustered = tuple(
+                ids.nodes(np.setdiff1d(part.cids, clustered, assume_unique=True))
+            )
+        else:
+            # Final level: no clustering; every node of G_k is unclustered.
+            centers, joins = (), ()
+            unclustered = tuple(active_sorted)
+
+        level_trace = LevelTrace(
+            level=j,
+            population=len(active_sorted),
+            active_edges=part.active_edges // 2,
+            stale_edges=part.stale_edges,
+            cluster_sizes=sizes,
+            cluster_heights=heights,
+            nodes=nodes,
+            centers=centers,
+            joins=joins,
+            unclustered=unclustered,
+            f_edges=level_f,
+        )
+        self.trace.levels.append(level_trace)
+
+        # Apply the level's outcome.
+        if joins:
+            self._attach_joins(joins)
+        self._finish_clusters(j, unclustered, part, nodes)
+        for cid in unclustered:
+            self._dead_pairs.pop(cid, None)
+        self._active = set(centers) if j < self.params.k else set()
+        self._level_done = j + 1
+        return level_trace
+
+    def _rows(self, eids: np.ndarray) -> np.ndarray:
+        """Endpoint-array rows of ``eids``."""
+        if self._eid_row is None:
+            return eids
+        return np.searchsorted(
+            np.asarray(self.network.edge_ids, dtype=np.int64), eids
+        )
+
+    def _sizes_and_heights(
+        self, active_sorted: list[int]
+    ) -> tuple[dict[int, int], dict[int, int]]:
+        """Member counts and tree heights of the active clusters, from
+        vectorized sweeps: O(n * tree height) in total instead of one
+        forest walk per cluster."""
+        n = self.network.n
+        root_np = np.asarray(self.forest.root_of, dtype=np.int64)
+        active_np = np.asarray(active_sorted, dtype=np.int64)
+        counts = np.bincount(root_np, minlength=n)
+        sizes = dict(zip(active_sorted, counts[active_np].tolist()))
+        ident = np.arange(n, dtype=np.int64)
+        pa = ident.copy()
+        for child, (par_phys, _eid) in self.forest.parent_items():
+            pa[child] = par_phys
+        # depth[x] = hops from x to its tree root: chase parent pointers
+        # in lockstep, at most tree-height iterations (Lemma 8 bounds it
+        # by (3^j - 1) / 2).
+        depth = (pa != ident).astype(np.int64)
+        cur = pa
+        while True:
+            nxt = pa[cur]
+            moved = nxt != cur
+            if not moved.any():
+                break
+            depth += moved
+            cur = nxt
+        tree_h = np.zeros(n, dtype=np.int64)
+        np.maximum.at(tree_h, root_np, depth)
+        heights = dict(zip(active_sorted, tree_h[active_np].tolist()))
+        return sizes, heights
+
+    def _attach_joins(self, joins: tuple[tuple[int, int, int], ...]) -> None:
+        """Merge the level's joiners into their centers, moving each
+        joiner's announcement state along."""
+        je = np.asarray([e for _v, _u, e in joins], dtype=np.int64)
+        jv = np.asarray([v for v, _u, _e in joins], dtype=np.int64)
+        rows = self._rows(je)
+        pu = np.frombuffer(self._ep_u, dtype=np.int64)[rows]
+        pv = np.frombuffer(self._ep_v, dtype=np.int64)[rows]
+        root_np = np.asarray(self.forest.root_of, dtype=np.int64)
+        joiner_side = root_np[pu] == jv
+        xs = np.where(joiner_side, pu, pv).tolist()
+        ys = np.where(joiner_side, pv, pu).tolist()
+        self.forest.bulk_attach(joins, xs, ys)
+        dead_pairs = self._dead_pairs
+        for joiner, center, _eid in joins:
+            pairs_j = dead_pairs.pop(joiner, None)
+            if not pairs_j:
+                continue
+            pairs_c = dead_pairs.get(center)
+            if pairs_c is None:
+                dead_pairs[center] = pairs_j
+            elif len(pairs_j) > len(pairs_c):
+                pairs_j |= pairs_c
+                dead_pairs[center] = pairs_j
+            else:
+                pairs_c |= pairs_j
+
+    def _finish_clusters(self, j, unclustered, part, nodes) -> None:
+        """Record the level's unclustered clusters and announce their
+        pools over their ``F`` edges, with the receiver lookup
+        vectorized over all announced edges at once."""
+        finished = self._finished
+        trace_finished = self.trace.finished
+        announce = j < self.params.k
+        for cid in unclustered:
+            live_arr = part.live_array(cid)
+            record = FinishedCluster(
+                cid=cid,
+                level=j,
+                label=nodes[cid].label,
+                live_edges=frozenset(self._ids.eids(live_arr)),
+            )
+            finished[cid] = record
+            trace_finished[cid] = record
+            if announce:
+                self._payloads[cid] = live_arr
+        if not announce or not unclustered:
+            return  # final level: no further sampling, nothing to announce
+        finishers = np.asarray(unclustered, dtype=np.int64)
+        pos = np.searchsorted(part.cids, finishers)
+        fa_off = np.zeros(len(part.cids) + 1, dtype=np.int64)
+        np.cumsum(part.fa_cnt, out=fa_off[1:])
+        cnt = part.fa_cnt[pos]
+        eids = part.fa_e[_concat_ranges(fa_off[pos], cnt)]
+        owner = np.repeat(finishers, cnt)
+        rows = self._rows(eids)
+        root_np = np.asarray(self.forest.root_of, dtype=np.int64)
+        ru = root_np[np.frombuffer(self._ep_u, dtype=np.int64)[rows]]
+        rv = root_np[np.frombuffer(self._ep_v, dtype=np.int64)[rows]]
+        # The finisher neither joined nor centered this level, so its
+        # members' assignment is unchanged post-attach: the member
+        # endpoint is the one whose root is the finisher itself.
+        recv = np.where(ru == owner, rv, ru)
+        dead_pairs = self._dead_pairs
+        for o, r in zip(owner.tolist(), recv.tolist()):
+            pairs_r = dead_pairs.get(r)
+            if pairs_r is None:
+                dead_pairs[r] = {o}
+            else:
+                pairs_r.add(o)
+
+    # ------------------------------------------------------------------
+    # reference strategy (the seed recount; the oracle)
+    # ------------------------------------------------------------------
+    def _run_level_reference(self, j: int) -> LevelTrace:
+        live = {cid: self._live_edges(cid) for cid in self._active}
+        by_neighbor = {
+            cid: self._group_by_neighbor(cid, edges) for cid, edges in live.items()
+        }
+        edge_neighbor = {
+            cid: {eid: other for other, bundle in groups.items() for eid in bundle}
+            for cid, groups in by_neighbor.items()
+        }
+        sizes = {cid: self.forest.size(cid) for cid in self._active}
+        heights = {cid: self.forest.tree(cid).height for cid in self._active}
+
+        machines: dict[int, TrialMachine] = {}
+        for cid in sorted(self._active):
+            machine = TrialMachine(
+                vid=cid,
+                level=j,
+                incident_edges=live[cid],
+                params=self.params,
+                n=self.network.n,
+                rng=self._rngf.stream("trials", j, cid),
+            )
+            while machine.wants_trial():
+                queried = machine.begin_trial()
+                results = [
+                    self._resolve(cid, eid, by_neighbor, edge_neighbor)
+                    for eid in queried
+                ]
+                machine.deliver(results)
+            machines[cid] = machine
 
         level_f: set[int] = set()
         for machine in machines.values():
@@ -240,7 +439,9 @@ class SamplerRun:
             cluster_sizes=sizes,
             cluster_heights=heights,
             nodes={
-                cid: self._node_trace(cid, machine, live[cid], len(by_neighbor[cid]))
+                cid: NodeLevelTrace.of_machine(
+                    machine, len(live[cid]), len(by_neighbor[cid])
+                )
                 for cid, machine in machines.items()
             },
             centers=centers,
@@ -253,333 +454,14 @@ class SamplerRun:
         # Apply the level's outcome.
         for joiner, center, eid in joins:
             self.forest.attach(joiner, center, eid)
-            if incremental:
-                self._merge_pools(joiner, center)
         for cid in unclustered:
             self._finish_cluster(cid, j, machines[cid], live[cid])
-        if incremental:
-            for cid in unclustered:
-                self._pools.pop(cid, None)
-                self._dead.pop(cid, None)
-                self._dead_pairs.pop(cid, None)
-        self._after_level(j, level_trace)
         self._active = set(centers) if j < self.params.k else set()
         self._level_done = j + 1
         return level_trace
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _run_trials(
-        self,
-        j: int,
-        live: dict[int, list[int]],
-        by_neighbor: dict[int, dict[int, list[int]]],
-        edge_neighbor: dict[int, dict[int, int]] | None,
-    ) -> dict[int, TrialMachine]:
-        """Run every active cluster's trial machine to completion.
-
-        Split out of :meth:`run_level` as the override point for
-        :class:`~repro.dynamic.repair.RepairRun`, which replays the
-        machines whose inputs a churn epoch provably did not change.
-        ``edge_neighbor`` is only supplied on the reference path.
-        """
-        machines: dict[int, TrialMachine] = {}
-        if self._incremental:
-            trial_rng = self._rngf.prefix("trials", j)
-            n = self.network.n
-            target_j = self.params.target(j, n)
-            budget_j = self.params.queries_per_trial(j, n)
-            eid_row = self._eid_row
-            ep_u = self._ep_u
-            ep_v = self._ep_v
-            root = self.forest.root_of
-            active = self._active
-            # One Random instance re-seeded per machine: each machine runs
-            # to completion before the next is built, so the draw sequence
-            # is identical to giving every machine a fresh Random.
-            shared_rng = random.Random()
-            for cid in sorted(active):
-                shared_rng.seed(trial_rng.child_seed(cid))
-                machine = TrialMachine(
-                    vid=cid,
-                    level=j,
-                    incident_edges=live[cid],
-                    params=self.params,
-                    n=n,
-                    rng=shared_rng,
-                    target=target_j,
-                    budget=budget_j,
-                )
-                groups = by_neighbor[cid]
-                while machine.wants_trial():
-                    # Plain eid-first tuples: deliver() unpacks positionally,
-                    # so the QueryResult envelope is skipped on the hot path.
-                    results = []
-                    for eid in machine.begin_trial():
-                        row = eid if eid_row is None else eid_row[eid]
-                        ca = root[ep_u[row]]
-                        other = root[ep_v[row]] if ca == cid else ca
-                        results.append((eid, other, groups[other], other in active))
-                    machine.deliver(results)
-                machines[cid] = machine
-        else:
-            for cid in sorted(self._active):
-                machine = TrialMachine(
-                    vid=cid,
-                    level=j,
-                    incident_edges=live[cid],
-                    params=self.params,
-                    n=self.network.n,
-                    rng=self._rngf.stream("trials", j, cid),
-                )
-                while machine.wants_trial():
-                    queried = machine.begin_trial()
-                    results = [
-                        self._resolve(cid, eid, by_neighbor, edge_neighbor)
-                        for eid in queried
-                    ]
-                    machine.deliver(results)
-                machines[cid] = machine
-        return machines
-
-    # ------------------------------------------------------------------
-    # process-parallel level execution (repro.core.parallel)
-    # ------------------------------------------------------------------
-    def _parallel_level_ok(self, j: int) -> bool:
-        """May level ``j`` run on the sharded parallel engine?
-
-        Override point: ``RepairRun`` additionally requires an empty
-        clean set (a pure-rebuild level), since replay decisions are
-        interleaved with the serial trial loop."""
-        return self._jobs > 1 and self._incremental
-
-    def _note_parallel_trials(self, j: int, part) -> None:
-        """Hook invoked in place of :meth:`_run_trials` bookkeeping when
-        a level runs parallel.  ``RepairRun`` resets its per-level replay
-        state here."""
-
-    def _run_level_parallel(self, j: int) -> LevelTrace:
-        """One invocation of ``Cluster_j`` on the sharded engine.
-
-        Mirrors :meth:`run_level` stage for stage; the trial population
-        executes in worker processes (repro.core.parallel) and comes back
-        as one columnar :class:`~repro.core.parallel.LevelPartial` whose
-        reduce order is independent of the shard count.  Pools and dead
-        sets are still maintained (``_merge_pools`` / ``_finish_cluster``)
-        so serial and parallel levels can interleave freely within one
-        run — bit-identical either way.
-        """
-        import numpy as np
-
-        from repro.core import parallel
-
-        if self._engine is None:
-            self._engine = parallel.ParallelBuildEngine(
-                self.network, self.params, self._jobs
-            )
-        active_sorted = sorted(self._active)
-        futures = self._engine.submit_level(
-            j,
-            root_of=self.forest.root_of,
-            active_sorted=active_sorted,
-            dead=self._dead,
-            dead_pairs=self._dead_pairs,
-            payloads=self._payloads,
-        )
-        # Per-level bookkeeping overlaps worker execution: both read the
-        # same pre-level forest state (the workers from their shm copy).
-        # Sizes and heights come from vectorized sweeps instead of the
-        # per-cluster forest walks the serial level uses — same dicts,
-        # O(n * tree height) total instead of one walk per cluster.
-        n = self.network.n
-        root_np = np.asarray(self.forest.root_of, dtype=np.int64)
-        active_np = np.asarray(active_sorted, dtype=np.int64)
-        counts = np.bincount(root_np, minlength=n)
-        sizes = dict(zip(active_sorted, counts[active_np].tolist()))
-        ident = np.arange(n, dtype=np.int64)
-        pa = ident.copy()
-        for child, (par_phys, _eid) in self.forest.parent_items():
-            pa[child] = par_phys
-        # depth[x] = hops from x to its tree root: chase parent pointers
-        # in lockstep, at most tree-height iterations (Lemma 8 bounds it
-        # by (3^j - 1) / 2).
-        depth = (pa != ident).astype(np.int64)
-        cur = pa
-        while True:
-            nxt = pa[cur]
-            moved = nxt != cur
-            if not moved.any():
-                break
-            depth += moved
-            cur = nxt
-        tree_h = np.zeros(n, dtype=np.int64)
-        np.maximum.at(tree_h, root_np, depth)
-        heights = dict(zip(active_sorted, tree_h[active_np].tolist()))
-        part = self._engine.collect(futures)
-        self._note_parallel_trials(j, part)
-
-        nodes = part.node_traces(j, self.params, n)
-        level_f = frozenset(part.fa_e.tolist())
-        self.spanner_edges |= level_f
-
-        if j < self.params.k:
-            centers = tuple(part.centers.tolist())
-            joins = part.joins(n)
-            clustered = np.concatenate(
-                [
-                    part.centers,
-                    np.asarray([v for v, _u, _e in joins], dtype=np.int64),
-                ]
-            )
-            unclustered = tuple(
-                np.setdiff1d(part.cids, clustered, assume_unique=True).tolist()
-            )
-        else:
-            centers, joins = (), ()
-            unclustered = tuple(active_sorted)
-
-        level_trace = LevelTrace(
-            level=j,
-            population=len(active_sorted),
-            active_edges=part.active_edges // 2,
-            stale_edges=part.stale_edges,
-            cluster_sizes=sizes,
-            cluster_heights=heights,
-            nodes=nodes,
-            centers=centers,
-            joins=joins,
-            unclustered=unclustered,
-            f_edges=level_f,
-        )
-        self.trace.levels.append(level_trace)
-
-        self._pools_valid = False
-        self._pools.clear()
-        if joins:
-            je = np.asarray([e for _v, _u, e in joins], dtype=np.int64)
-            jv = np.asarray([v for v, _u, _e in joins], dtype=np.int64)
-            rows = (
-                je
-                if self._eid_row is None
-                else np.searchsorted(
-                    np.asarray(self.network.edge_ids, dtype=np.int64), je
-                )
-            )
-            pu = np.frombuffer(self._ep_u, dtype=np.int64)[rows]
-            pv = np.frombuffer(self._ep_v, dtype=np.int64)[rows]
-            root_np = np.asarray(self.forest.root_of, dtype=np.int64)
-            joiner_side = root_np[pu] == jv
-            xs = np.where(joiner_side, pu, pv).tolist()
-            ys = np.where(joiner_side, pv, pu).tolist()
-            self.forest.bulk_attach(joins, xs, ys)
-            for joiner, center, _eid in joins:
-                self._merge_dead(joiner, center)
-        self._finish_clusters_parallel(j, unclustered, part, nodes)
-        for cid in unclustered:
-            self._pools.pop(cid, None)
-            self._dead.pop(cid, None)
-            self._dead_pairs.pop(cid, None)
-        self._after_level(j, level_trace)
-        self._active = set(centers) if j < self.params.k else set()
-        self._level_done = j + 1
-        return level_trace
-
-    def _finish_clusters_parallel(self, j, unclustered, part, nodes):
-        """Bulk variant of per-cluster :meth:`_finish_cluster` for a
-        parallel level: identical records and receiver dead-set updates,
-        with the receiver lookup vectorized over all announced ``F``
-        edges at once.  Returns the receiver cluster id per announced
-        edge (finishers in ascending order) — ``RepairRun`` overrides to
-        also mark those receivers dirty, mirroring its serial override.
-        """
-        import numpy as np
-
-        from repro.core.parallel import _concat_ranges
-
-        finished = self._finished
-        trace_finished = self.trace.finished
-        announce = j < self.params.k
-        for cid in unclustered:
-            live_arr = part.live_array(cid)
-            record = FinishedCluster(
-                cid=cid,
-                level=j,
-                label=nodes[cid].label,
-                live_edges=frozenset(live_arr.tolist()),
-            )
-            finished[cid] = record
-            trace_finished[cid] = record
-            if announce:
-                self._payloads[cid] = live_arr
-        if not announce or not unclustered:
-            return None  # final level: nothing to announce
-        finishers = np.asarray(unclustered, dtype=np.int64)
-        pos = np.searchsorted(part.cids, finishers)
-        fa_off = np.zeros(len(part.cids) + 1, dtype=np.int64)
-        np.cumsum(part.fa_cnt, out=fa_off[1:])
-        cnt = part.fa_cnt[pos]
-        idx = _concat_ranges(fa_off[pos], cnt)
-        eids = part.fa_e[idx]
-        owner = np.repeat(finishers, cnt)
-        if self._eid_row is None:
-            rows = eids
-        else:
-            rows = np.searchsorted(
-                np.asarray(self.network.edge_ids, dtype=np.int64), eids
-            )
-        ep_u = np.frombuffer(self._ep_u, dtype=np.int64)
-        ep_v = np.frombuffer(self._ep_v, dtype=np.int64)
-        root_np = np.asarray(self.forest.root_of, dtype=np.int64)
-        ru = root_np[ep_u[rows]]
-        rv = root_np[ep_v[rows]]
-        # The finisher neither joined nor centered this level, so its
-        # members' assignment is unchanged post-attach: the member
-        # endpoint is the one whose root is the finisher itself.
-        recv = np.where(ru == owner, rv, ru)
-        dead_pairs = self._dead_pairs
-        for o, r in zip(owner.tolist(), recv.tolist()):
-            pairs_r = dead_pairs.get(r)
-            if pairs_r is None:
-                dead_pairs[r] = {o}
-            else:
-                pairs_r.add(o)
-        return recv
-
-    def _after_level(self, j: int, level_trace: LevelTrace) -> None:
-        """Hook after a level's joins/finishes apply, before the active
-        set advances.  The base run needs nothing here; ``RepairRun``
-        uses it to propagate its clean-cluster bookkeeping."""
 
     def _live_edges(self, cid: int) -> list[int]:
         """``X_v`` at level start: dedup minus received finish payloads."""
-        if self._incremental:
-            pool = self._pools.get(cid)
-            dead = self._dead.get(cid)
-            pairs = self._dead_pairs.get(cid)
-            if pairs:
-                # Fold factored parallel-level announcements back into
-                # an explicit dead set (only reachable when a serial
-                # level reads state a parallel level produced).
-                dead = set(dead) if dead else set()
-                for finisher in pairs:
-                    dead.update(self._payloads[finisher].tolist())
-            if not self._pools_valid:
-                # Recount the dedup'd pool from member incidences (the
-                # reference rule) — parallel levels do not maintain
-                # ``_pools``, so a serial read rebuilds it on the spot.
-                counts: Counter[int] = Counter()
-                for phys in self.forest.members(cid):
-                    counts.update(self.network.incident(phys))
-                pool = {e for e, c in counts.items() if c == 1}
-            if pool is None:  # never merged: singleton, cid is its phys id
-                incident = self.network.incident(cid)
-                if not dead:
-                    return list(incident)
-                return [e for e in incident if e not in dead]
-            if dead:
-                return sorted(pool - dead)
-            return sorted(pool)
         counts: Counter[int] = Counter()
         dead_set: set[int] = set()
         for phys in self.forest.members(cid):
@@ -589,83 +471,11 @@ class SamplerRun:
                 dead_set |= phys_dead
         return sorted(e for e, c in counts.items() if c == 1 and e not in dead_set)
 
-    def _merge_pools(self, joiner: int, center: int) -> None:
-        """Fold ``joiner``'s pool and dead set into ``center``'s.
-
-        Symmetric difference implements intra-cluster cancellation: an
-        edge present in both pools has one endpoint-incidence in each
-        cluster, so after the merge both incidences are internal and the
-        edge leaves every pool for good.  The smaller set is always the
-        one iterated.
-        """
-        pools = self._pools
-        pool_j = pools.pop(joiner, None)
-        if pool_j is None:
-            pool_j = set(self.network.incident(joiner))
-        pool_c = pools.get(center)
-        if pool_c is None:
-            pool_c = set(self.network.incident(center))
-            pools[center] = pool_c
-        if len(pool_j) > len(pool_c):
-            pool_j ^= pool_c
-            pools[center] = pool_j
-        else:
-            pool_c ^= pool_j
-        self._merge_dead(joiner, center)
-
-    def _merge_dead(self, joiner: int, center: int) -> None:
-        """Fold ``joiner``'s announcement state into ``center``'s — the
-        dead-set half of :meth:`_merge_pools`, also used alone by the
-        parallel level loop (which leaves ``_pools`` unmaintained)."""
-        dead_j = self._dead.pop(joiner, None)
-        if dead_j:
-            dead_c = self._dead.get(center)
-            if dead_c is None:
-                self._dead[center] = dead_j
-            elif len(dead_j) > len(dead_c):
-                dead_j |= dead_c
-                self._dead[center] = dead_j
-            else:
-                dead_c |= dead_j
-        pairs_j = self._dead_pairs.pop(joiner, None)
-        if pairs_j:
-            pairs_c = self._dead_pairs.get(center)
-            if pairs_c is None:
-                self._dead_pairs[center] = pairs_j
-            elif len(pairs_j) > len(pairs_c):
-                pairs_j |= pairs_c
-                self._dead_pairs[center] = pairs_j
-            else:
-                pairs_c |= pairs_j
-
-    def _group_by_neighbor(self, cid: int, edges: list[int]) -> dict[int, list[int]]:
-        """Partition ``X_v`` by the cluster at the other end of each edge.
-
-        Bundles stay lists (ascending eid, since ``edges`` is sorted);
-        they are only iterated and counted, never hashed or mutated.
-        """
-        groups: dict[int, list[int]] = {}
-        eid_row = self._eid_row
-        ep_u = self._ep_u
-        ep_v = self._ep_v
-        root = self.forest.root_of
-        for eid in edges:
-            row = eid if eid_row is None else eid_row[eid]
-            ca = root[ep_u[row]]
-            other = root[ep_v[row]] if ca == cid else ca
-            if other == cid:
-                raise SimulationError(f"edge {eid} is intra-cluster for {cid}")
-            bundle = groups.get(other)
-            if bundle is None:
-                groups[other] = [eid]
-            else:
-                bundle.append(eid)
-        return groups
-
-    def _group_by_neighbor_reference(
+    def _group_by_neighbor(
         self, cid: int, edges: list[int]
     ) -> dict[int, tuple[int, ...]]:
-        """Seed-path grouping via per-edge endpoint tuples and dict lookups."""
+        """Partition ``X_v`` by the cluster at the other end of each edge,
+        via per-edge endpoint tuples and dict lookups."""
         groups: dict[int, list[int]] = {}
         for eid in edges:
             a, b = self.network.endpoints(eid)
@@ -704,17 +514,11 @@ class SamplerRun:
     ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
         """Second step of ``Cluster_j``: centers, joins, unclustered."""
         p_j = self.params.center_probability(j, self.network.n)
-        if self._incremental:
-            center_rng = self._rngf.prefix("center", j)
-            centers = {
-                cid for cid in self._active if center_rng.uniform(cid) < p_j
-            }
-        else:
-            centers = {
-                cid
-                for cid in self._active
-                if self._rngf.uniform("center", j, cid) < p_j
-            }
+        centers = {
+            cid
+            for cid in self._active
+            if self._rngf.uniform("center", j, cid) < p_j
+        }
         # Read-only view of each finished machine's neighbor map; trials
         # are over, so sharing the internal dict is safe and copy-free.
         outgoing = {cid: machines[cid]._f_active for cid in self._active}
@@ -759,46 +563,8 @@ class SamplerRun:
         for _neighbor, eid in machine.f_active.items():
             a, b = self.network.endpoints(eid)
             receiver = b if a in members else a
-            if self._incremental:
-                # Announcements travel with the receiver's *current*
-                # cluster: merges union dead sets, so this is exactly the
-                # union of member phys-level announcements in the seed.
-                rcid = self.forest.cluster_of(receiver)
-                dead = self._dead.get(rcid)
-                if dead is None:
-                    self._dead[rcid] = set(payload)
-                else:
-                    dead |= payload
-            else:
-                self._phys_dead.setdefault(receiver, set()).update(payload)
+            self._phys_dead.setdefault(receiver, set()).update(payload)
 
-    def _node_trace(
-        self, cid: int, machine: TrialMachine, live: list[int], degree: int
-    ) -> NodeLevelTrace:
-        stats = machine.stats
-        draws = queries = 0
-        for s in stats:
-            draws += s.draws
-            queries += len(s.queried_eids)
-        f_active = machine._f_active
-        f_inactive = machine._f_inactive
-        return NodeLevelTrace(
-            vid=cid,
-            label=machine.label,
-            trials=machine.trials_run,
-            draws=draws,
-            queries_sent=queries,
-            neighbors_found=len(f_active),
-            inactive_found=len(f_inactive),
-            pool_initial=len(live),
-            pool_final=machine.pool_size,
-            degree=degree,
-            target=machine.target,
-            query_budget=machine.query_budget,
-            f_active=tuple(sorted(f_active.items())),
-            f_inactive=tuple(sorted(f_inactive.items())),
-            trial_stats=stats,
-        )
 
 def build_spanner(
     network: Network,
@@ -809,10 +575,11 @@ def build_spanner(
 ) -> SpannerResult:
     """Run centralized ``Sampler`` and return the spanner with its trace.
 
-    ``jobs`` (default: ``REPRO_BUILD_JOBS``, else 1) shards each level's
-    trial population across that many worker processes over a shared
-    -memory view of the graph — bit-identical results, see DESIGN.md
-    §3.11.  Ignored on ``incremental=False``: the reference strategy is
-    the seed equivalence baseline and always runs serial.
+    The default runs the columnar level engine; ``jobs`` (default:
+    ``REPRO_BUILD_JOBS``, else 1) is its worker count — 1 runs it
+    in-process, more shard each level across that many worker processes
+    over a shared-memory view of the graph, with bit-identical results
+    (DESIGN.md §3.11).  ``incremental=False`` selects the seed recount,
+    the oracle; it ignores ``jobs`` and always runs serial.
     """
     return SamplerRun(network, params, incremental=incremental, jobs=jobs).run()

@@ -48,6 +48,38 @@ class NodeLevelTrace(NamedTuple):
     f_inactive: tuple[tuple[int, int], ...]
     trial_stats: tuple[TrialStats, ...] = ()
 
+    @classmethod
+    def of_machine(
+        cls, machine, pool_initial: int, degree: int
+    ) -> "NodeLevelTrace":
+        """The trace of a finished :class:`~repro.core.trials.TrialMachine`
+        whose level-start pool held ``pool_initial`` edges leading to
+        ``degree`` distinct neighbor clusters."""
+        stats = machine.stats
+        draws = queries = 0
+        for s in stats:
+            draws += s.draws
+            queries += len(s.queried_eids)
+        f_active = machine._f_active
+        f_inactive = machine._f_inactive
+        return cls(
+            vid=machine.vid,
+            label=machine.label,
+            trials=machine.trials_run,
+            draws=draws,
+            queries_sent=queries,
+            neighbors_found=len(f_active),
+            inactive_found=len(f_inactive),
+            pool_initial=pool_initial,
+            pool_final=machine.pool_size,
+            degree=degree,
+            target=machine.target,
+            query_budget=machine.query_budget,
+            f_active=tuple(sorted(f_active.items())),
+            f_inactive=tuple(sorted(f_inactive.items())),
+            trial_stats=stats,
+        )
+
     @property
     def is_light(self) -> bool:
         return self.label is NodeLabel.LIGHT

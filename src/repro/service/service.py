@@ -63,6 +63,11 @@ _SUBNET_MEMO_CAP = 16
 # replaying an epoch avalanche.
 _LINEAGE_DEPTH_CAP = 16
 
+# Oldest-dropped cap on the recorded churn lineage.  Every entry pins
+# its parent Network, so a service churning forever must forget old
+# epochs; a walk never goes deeper than _LINEAGE_DEPTH_CAP anyway.
+_LINEAGE_CAP = 32
+
 
 @dataclass(frozen=True)
 class SimulationRequest:
@@ -318,7 +323,7 @@ class SimulationService:
         self._params = params if params is not None else theorem3_params(gamma, seed=seed)
         self._seed = seed
         # Worker count for the centralized construction work the service
-        # performs itself (incremental repairs).  ``None`` defers to
+        # performs itself (spanner repairs).  ``None`` defers to
         # ``REPRO_BUILD_JOBS`` at call time.  Full rebuilds on a cache
         # miss are the store's *distributed* construction and are
         # unaffected — its message accounting is the artifact there.
@@ -332,9 +337,10 @@ class SimulationService:
         # service streaming distinct graphs cannot pin memory unboundedly.
         self._subnets: dict[tuple[str, frozenset[int]], Network] = {}
         # Churn lineage: child fingerprint -> (parent network, mutation
-        # log).  This is what lets a cache miss on a post-churn graph
-        # degrade to an incremental repair (or a stale serve) instead of
-        # a cold rebuild.
+        # log), insertion-ordered and capped at _LINEAGE_CAP entries.
+        # This is what lets a cache miss on a post-churn graph degrade
+        # to a repair (or a stale serve) instead of a cold distributed
+        # rebuild.
         self._lineage: dict[str, tuple[Network, MutationLog]] = {}
         # Fingerprints this service has already answered — a forced full
         # build on one of these is a *re*build (cache loss), not a
@@ -379,7 +385,7 @@ class SimulationService:
             raise ValueError("no network to churn and the service has no default")
         child, log = _apply_churn(base, plan, epoch)
         if not log.is_noop:
-            self._lineage[log.child_fingerprint] = (base, log)
+            self._record_lineage(base, log)
         if network is None:
             self._network = child
         return child, log
@@ -398,7 +404,14 @@ class SimulationService:
                 f"network is {parent.fingerprint()[:12]}…"
             )
         if not log.is_noop:
-            self._lineage[log.child_fingerprint] = (parent, log)
+            self._record_lineage(parent, log)
+
+    def _record_lineage(self, parent: Network, log: MutationLog) -> None:
+        lineage = self._lineage
+        lineage.pop(log.child_fingerprint, None)  # re-recorded = newest
+        lineage[log.child_fingerprint] = (parent, log)
+        while len(lineage) > _LINEAGE_CAP:
+            lineage.pop(next(iter(lineage)))
 
     def _lineage_base(
         self, network: Network, params: SamplerParams
@@ -600,7 +613,7 @@ class SimulationService:
         network: Network,
         logs: tuple[MutationLog, ...],
     ) -> SpannerResult | None:
-        """Attempt incremental repair; any failure degrades to rebuild."""
+        """Attempt a repair; any failure degrades to a rebuild."""
         try:
             return repair_spanner(ancestor, network, logs, jobs=self._build_jobs)
         except Exception:

@@ -15,7 +15,6 @@ from repro.dynamic import (
     churn_sequence,
     repair_spanner,
 )
-from repro.dynamic.repair import RepairRun
 from repro.errors import ConfigurationError
 from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.local.network import Network
@@ -221,20 +220,6 @@ class TestRepair:
         assert repaired.trace.signature() == rebuilt.trace.signature()
         assert repaired.messages is None  # repair meters nothing
 
-    def test_repair_actually_replays(self):
-        """At low churn most cluster machines come from the parent trace."""
-        net = erdos_renyi(300, 0.04, seed=10)
-        parent = build_spanner(net, _PARAMS)
-        child, log = apply_churn(
-            net, ChurnPlan(seed=19, edge_removal=0.01), epoch=0
-        )
-        run = RepairRun(
-            child, _PARAMS, parent=parent, touched=log.touched_nodes()
-        )
-        result = run.run()
-        assert result == build_spanner(child, _PARAMS)
-        assert run.replayed_clusters > run.fresh_clusters
-
     def test_repair_refuses_broken_chains(self, er_medium):
         parent = build_spanner(er_medium, _PARAMS)
         child, log = apply_churn(er_medium, _mixed_plan(23, 0.1), epoch=0)
@@ -248,17 +233,6 @@ class TestRepair:
             repair_spanner(parent, grandchild, glog)  # missing first link
         with pytest.raises(ConfigurationError):
             repair_spanner(parent, grandchild, [glog, log])  # wrong order
-
-    def test_repair_refuses_wrong_params(self, er_medium):
-        parent = build_spanner(er_medium, _PARAMS)
-        child, log = apply_churn(er_medium, _mixed_plan(37, 0.1), epoch=0)
-        with pytest.raises(ConfigurationError):
-            RepairRun(
-                child,
-                SamplerParams(k=2, h=3, seed=1),
-                parent=parent,
-                touched=frozenset(),
-            )
 
 
 class TestNetworkMutated:

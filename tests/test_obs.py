@@ -171,9 +171,32 @@ class TestParallelMerge:
         by_id = {r["id"]: r for r in records}
         for shard in shards:
             assert by_id[shard["parent"]]["name"] == "build/level"
-        assert not [
-            r for r in serial_records if r["name"] == "build/shard"
-        ]
+        # jobs=1 runs the same shard function in this process
+        serial_shards = [r for r in serial_records if r["name"] == "build/shard"]
+        assert serial_shards
+        assert all(r["pid"] == os.getpid() for r in serial_shards)
+
+    def test_in_process_shards_keep_the_callers_records(self, net, obs_on):
+        """An in-process (jobs=1) shard must not drain the collector the
+        way a forked pool worker does: records finished before the build
+        survive, and the shard nests under its level and the build."""
+        with obs.span("outer"):
+            with obs.span("before"):
+                pass
+            build_spanner(net, PARAMS, jobs=1)
+        records = obs.collector().finished()
+        names = [r["name"] for r in records]
+        assert names[0] == "before" and names[-1] == "outer"
+        by_id = {r["id"]: r for r in records}
+        shards = [r for r in records if r["name"] == "build/shard"]
+        assert len(shards) == PARAMS.levels
+        for shard in shards:
+            level = by_id[shard["parent"]]
+            assert level["name"] == "build/level"
+            assert level["attrs"]["level"] == shard["attrs"]["level"]
+            build = by_id[level["parent"]]
+            assert build["name"] == "build/spanner"
+            assert by_id[build["parent"]]["name"] == "outer"
 
     def test_adopt_remaps_ids_and_parents(self, obs_on):
         collector = obs.collector()

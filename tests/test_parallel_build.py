@@ -1,12 +1,14 @@
-"""Parallel build engine: bit-identity with the serial path (DESIGN.md §3.11).
+"""Columnar level engine: bit-identity with the oracle (DESIGN.md §3.11).
 
 The contract is absolute: ``build_spanner(..., jobs=j)`` for any ``j``
 returns a ``SpannerResult`` that compares equal — edges, full trace with
 every per-node ``NodeLevelTrace``, finished-cluster certificates — to
-the serial build.  These tests pin that across graph families, seeds,
-shard counts, and both trial strategies, plus the operational contract:
-shared-memory segments never outlive a build, even when a worker dies
-mid-level.
+the seed recount ``build_spanner(..., incremental=False)``.  These tests
+pin that across graph families, seeds, shard counts, and both trial
+regimes (vectorized exhaustive trials and the ``TrialMachine``
+fallback), plus the operational contract: ``jobs=1`` runs in-process
+without a pool or shared memory, and shared-memory segments never
+outlive a build, even when a worker dies mid-level.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_equals_serial(self, family, jobs):
         net = _FAMILIES[family]()
-        serial = build_spanner(net, _PARAMS, jobs=1)
+        oracle = build_spanner(net, _PARAMS, incremental=False)
         par = build_spanner(net, _PARAMS, jobs=jobs)
-        assert par == serial  # full equality: edges, trace, certificates
+        assert par == oracle  # full equality: edges, trace, certificates
         assert _no_leaked_segments()
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES), ids=str)
@@ -53,7 +55,7 @@ class TestBitIdentity:
         params = SamplerParams(k=2, h=2, seed=1, exhaustive_small_pools=False)
         net = _FAMILIES[family]()
         assert build_spanner(net, params, jobs=2) == build_spanner(
-            net, params, jobs=1
+            net, params, incremental=False
         )
         assert _no_leaked_segments()
 
@@ -71,19 +73,30 @@ class TestBitIdentity:
         net = erdos_renyi(n, min(0.95, 8 / max(1, n - 1)), seed=seed)
         params = SamplerParams(k=2, h=2, seed=seed + 1)
         assert build_spanner(net, params, jobs=jobs) == build_spanner(
-            net, params, jobs=1
+            net, params, incremental=False
         )
         assert _no_leaked_segments()
 
-    def test_jobs_one_is_the_serial_path(self):
-        """jobs=1 must not even construct an engine — it IS the old code."""
+    def test_jobs_one_runs_in_process(self, monkeypatch):
+        """jobs=1 runs the columnar engine in-process: no process pool
+        and no shared-memory segment is ever created."""
+        from multiprocessing import shared_memory
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("jobs=1 must not create a pool or a segment")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
         net = _FAMILIES["gnp"]()
         from repro.core.sampler import SamplerRun
 
         run = SamplerRun(net, _PARAMS, jobs=1)
-        result = run.run()
-        assert run._engine is None
-        assert result == build_spanner(net, _PARAMS)
+        for j in range(_PARAMS.levels):
+            run.run_level(j)
+        assert type(run._engine) is parallel.LevelEngine
+        run.close()
+        assert _no_leaked_segments()
+        assert run.result() == build_spanner(net, _PARAMS, incremental=False)
 
     def test_reference_strategy_ignores_jobs(self):
         """incremental=False is the seed equivalence baseline; jobs must
@@ -136,7 +149,7 @@ class TestCrashCleanup:
 
     def test_build_usable_after_crash(self, monkeypatch):
         """The failed build must not poison the process: a fresh build
-        (serial or parallel) right after still works and agrees."""
+        (in-process or parallel) right after still works and agrees."""
         net = erdos_renyi(100, 0.08, seed=4)
         monkeypatch.setenv(parallel._CRASH_ENV, "1")
         with pytest.raises(SimulationError):
@@ -164,26 +177,24 @@ class TestRepairParallel:
         return net, child, log
 
     def test_repair_of_parallel_parent(self):
-        """Repairing a parallel-built parent replays its trace exactly
-        as if it had been built serially — the traces are equal, so the
-        repairs must be too."""
+        """Repair from a parallel-built parent equals repair from the
+        oracle's build of the same graph, and both equal the rebuild."""
         net, child, log = self._churned()
         par_parent = build_spanner(net, _PARAMS, jobs=2)
-        ser_parent = build_spanner(net, _PARAMS, jobs=1)
-        assert par_parent == ser_parent
+        ref_parent = build_spanner(net, _PARAMS, incremental=False)
+        assert par_parent == ref_parent
         repaired = repair_spanner(par_parent, child, log)
-        assert repaired == repair_spanner(ser_parent, child, log)
-        assert repaired == build_spanner(child, _PARAMS)
+        assert repaired == repair_spanner(ref_parent, child, log)
+        assert repaired == build_spanner(child, _PARAMS, incremental=False)
 
     @pytest.mark.parametrize("rate", [0.05, 0.4])
     def test_parallel_repair_equals_serial_repair(self, rate):
-        """repair_spanner(jobs=2) shards the fresh (non-replayable)
-        levels; replay-capable levels stay serial.  Either way the
-        result is the fresh serial build."""
+        """repair_spanner(jobs=2) shards every level of the rebuild; the
+        result is the in-process repair and the oracle's build."""
         net, child, log = self._churned(seed=11, rate=rate)
         parent = build_spanner(net, _PARAMS)
         par = repair_spanner(parent, child, log, jobs=2)
         ser = repair_spanner(parent, child, log)
         assert par == ser
-        assert par == build_spanner(child, _PARAMS)
+        assert par == build_spanner(child, _PARAMS, incremental=False)
         assert _no_leaked_segments()

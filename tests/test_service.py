@@ -301,6 +301,24 @@ class TestResilientServing:
         assert response.spanner.provenance == (net.fingerprint(),)
         assert service.metrics.repairs == 1
 
+    def test_churn_lineage_is_bounded(self, net):
+        """A service churning its graph epoch after epoch keeps at most
+        ``_LINEAGE_CAP`` lineage entries (each pins a parent Network),
+        and the newest graph still repairs from the cached base."""
+        from repro.service import service as service_module
+
+        cap = service_module._LINEAGE_CAP
+        service = SimulationService(net, params=PARAMS, seed=5)
+        service.submit(BallCollect(2))  # caches the base spanner
+        plan = churn_plan(seed=71, epochs=3 * cap)
+        for epoch in range(3 * cap):
+            child, _ = service.apply_churn(plan, epoch, network=net)
+            assert len(service._lineage) <= cap
+        assert len(service._lineage) == cap
+        response = service.submit(SimulationRequest(algo=BallCollect(2), network=child))
+        assert response.spanner_info.source == "repaired"
+        assert response.spanner.provenance == (net.fingerprint(),)
+
     def test_stale_request_is_served_from_the_ancestor(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
         service.submit(BallCollect(2))
