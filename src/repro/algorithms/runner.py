@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.algorithms.base import LocalAlgorithm, NodeInit
+from repro.engines import Engines
 from repro.errors import ProtocolError
-from repro.local.engine import VectorRuntime, resolve_round_engine
+from repro.local.engine import VectorRuntime
 from repro.local.faults import FaultPlan
 from repro.local.message import Inbound
 from repro.local.metrics import MessageStats, RunReport
@@ -125,22 +126,22 @@ def run_direct(
     algo: LocalAlgorithm,
     seed: int = 0,
     *,
-    scheduler: str = "active",
-    round_engine: str | None = None,
+    engines: Engines | None = None,
     faults: FaultPlan | None = None,
 ) -> DirectOutcome:
     """Execute on the kernel; messages and rounds are metered exactly.
 
-    ``round_engine`` selects the execution engine (``"vector"`` /
-    ``"reference"``, default the process-wide ``REPRO_ROUND_ENGINE``).
-    The vector path runs registered algorithms as array populations and
-    silently falls back to the reference interpreter for everything
-    else — and for corrupt-capable fault plans, whose tampered payloads
-    only the per-node programs' error behaviour defines.
+    ``engines.rounds`` (default :meth:`Engines.from_env`) selects the
+    round engine.  The vector path runs registered algorithms as array
+    populations and silently falls back to the reference interpreter
+    for everything else — and for corrupt-capable fault plans, whose
+    tampered payloads only the per-node programs' error behaviour
+    defines.
     """
+    engines = Engines.resolve(engines)
     t = algo.rounds(network.n)
     plan = faults or FaultPlan.none()
-    if resolve_round_engine(round_engine) == "vector" and not plan.can_corrupt:
+    if engines.rounds == "vector" and not plan.can_corrupt:
         from repro.algorithms.vector import vector_population
 
         population = vector_population(algo, network, seed)
@@ -159,7 +160,7 @@ def run_direct(
         seed=seed,
         max_rounds=t + 2,
         faults=faults,
-        scheduler=scheduler,
+        engine=engines.rounds,
     )
     return DirectOutcome(outputs=report.outputs, messages=report.messages, rounds=report.rounds)
 
@@ -169,15 +170,16 @@ def run_inprocess(
     algo: LocalAlgorithm,
     seed: int = 0,
     *,
-    round_engine: str | None = None,
+    engines: Engines | None = None,
 ) -> dict[int, Any]:
     """Fast synchronous evaluation (no kernel); outputs only.
 
-    Under the vector round engine, registered algorithms execute as
-    array populations (same outputs, no per-node Python stepping);
-    everything else runs the original message-free loop.
+    Under the vector round engine (``engines.rounds``, default
+    :meth:`Engines.from_env`), registered algorithms execute as array
+    populations (same outputs, no per-node Python stepping); everything
+    else runs the original message-free loop.
     """
-    if resolve_round_engine(round_engine) == "vector":
+    if Engines.resolve(engines).rounds == "vector":
         from repro.algorithms.vector import vector_population
 
         population = vector_population(algo, network, seed)

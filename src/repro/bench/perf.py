@@ -82,6 +82,7 @@ from repro.algorithms import (
 from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import simulate_sampler
+from repro.engines import Engines
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local.network import Network
 from repro.service import ConcurrentSimulationService, SimulationService
@@ -402,7 +403,7 @@ def _concurrent_procs(built: tuple[Network, object]) -> object:
 # one word-OR per 64 origins — 12 rounds of push-pull gossip (long
 # enough that known sets saturate, the reference's worst case), and
 # a registered LOCAL algorithm run end to end.  The baseline column
-# re-runs the *identical* body under ``round_engine="reference"`` —
+# re-runs the *identical* body under ``Engines(rounds="reference")`` —
 # same RunReport, different engine (acceptance: >= 3x on flood and
 # gossip).
 def _vec_flood(engine: str):
@@ -411,8 +412,7 @@ def _vec_flood(engine: str):
             net,
             payload_of=lambda v: (v,),
             radius=2,
-            engine="runtime",
-            round_engine=engine,
+            engines=Engines("runtime", rounds=engine),
         )
 
     return run
@@ -420,14 +420,14 @@ def _vec_flood(engine: str):
 
 def _vec_gossip(engine: str):
     def run(net: Network) -> object:
-        return run_push_pull(net, rounds=12, t=2, seed=3, round_engine=engine)
+        return run_push_pull(net, rounds=12, t=2, seed=3, engines=Engines(rounds=engine))
 
     return run
 
 
 def _vec_algo(engine: str):
     def run(net: Network) -> object:
-        return run_direct(net, BallCollect(2), seed=7, round_engine=engine)
+        return run_direct(net, BallCollect(2), seed=7, engines=Engines(rounds=engine))
 
     return run
 
@@ -1102,7 +1102,7 @@ def render_readme_section(doc: dict) -> str:
         "paper's `m >> n` regime), a push–pull gossip run, and a "
         "registered LOCAL algorithm; their reference baseline re-runs "
         "the identical body on the per-node interpreter "
-        "(`REPRO_ROUND_ENGINE=reference`, identical `RunReport`s, "
+        "(`Engines(rounds=\"reference\")`, identical `RunReport`s, "
         "DESIGN.md §3.10).  `spanner_par/*` and `spanner/gnp/n100000` "
         "time the shard-parallel centralized build (`jobs=2`, "
         "DESIGN.md §3.11); their baseline re-runs the identical input "

@@ -99,7 +99,10 @@ def simulate_sampler(
     """Execute ``Sampler`` as a real message-passing LOCAL algorithm.
 
     The oracle of :func:`build_spanner_distributed`, with metered
-    messages.
+    messages.  Raises :class:`SimulationError` if the run overruns the
+    :class:`Schedule`; a run whose clusters all finish before the last
+    level ends early and is reported over the whole schedule, its
+    remaining rounds silent and its remaining levels empty.
 
     ``scheduler`` selects the stepping discipline: ``"active"``
     (default) steps only nodes with pending messages or due wake rounds
@@ -130,9 +133,9 @@ def simulate_sampler(
         )
     if not report.halted:
         raise SimulationError("distributed Sampler did not halt")
-    if report.rounds != schedule.total_rounds:
+    if report.rounds > schedule.total_rounds:
         raise SimulationError(
-            f"round mismatch: ran {report.rounds}, schedule says "
+            f"round overrun: ran {report.rounds}, schedule says "
             f"{schedule.total_rounds}"
         )
 
@@ -141,6 +144,8 @@ def simulate_sampler(
         for record in out["records"]:
             level = record["level"]
             cid = record["cid"]
+            if level >= params.levels:
+                raise SimulationError(f"cluster {cid} archived at level {level}")
             if cid in records_by_level[level]:
                 raise SimulationError(
                     f"two leaders archived cluster {cid} at level {level}"
@@ -150,8 +155,8 @@ def simulate_sampler(
     trace = SamplerTrace(n=network.n, m=network.m, params=params)
     spanner: set[int] = set()
     sizes: dict[int, int] = {v: 1 for v in network.nodes()}
-    for level in sorted(records_by_level):
-        records = records_by_level[level]
+    for level in range(params.levels):
+        records = records_by_level.get(level, {})
         f_edges: set[int] = set()
         nodes: dict[int, NodeLevelTrace] = {}
         joins: list[tuple[int, int, int]] = []
@@ -186,13 +191,17 @@ def simulate_sampler(
         for joiner, center, _eid in joins:
             sizes[center] += sizes.pop(joiner)
 
+    silent = schedule.total_rounds - report.rounds
+    if silent and trace.levels[-1].population:
+        raise SimulationError(f"halted {silent} rounds early with clusters left")
+    per_round = report.messages.per_round + [0] * silent
     return SpannerResult(
         network=network,
         params=params,
         edges=frozenset(spanner),
         trace=trace,
-        messages=report.messages,
-        rounds=report.rounds,
+        messages=replace(report.messages, per_round=per_round),
+        rounds=schedule.total_rounds,
     )
 
 

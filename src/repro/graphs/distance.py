@@ -24,20 +24,22 @@ kernel once, in two interchangeable engines:
   fallback cannot rot.
 
 The default engine is overridable per call (``engine=...``) or per
-process (the ``REPRO_DISTANCE_ENGINE`` environment variable), which is
-how the reference-engine CI job drives every consumer through the
-pure-Python path without touching call sites.
+process (``REPRO_DISTANCE_ENGINE``, read by
+:meth:`repro.engines.Engines.from_env`), which is how the oracle-engines
+CI job drives every consumer through the pure-Python path without
+touching call sites.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from collections.abc import Sequence
 from typing import Iterator
 
 import numpy as np
+
+from repro.engines import DISTANCE_ENGINES, Engines, check_engine
 
 __all__ = [
     "DISTANCE_ENGINES",
@@ -54,9 +56,6 @@ __all__ = [
     "eccentricities",
 ]
 
-DISTANCE_ENGINES = ("vector", "reference")
-ENGINE_ENV = "REPRO_DISTANCE_ENGINE"
-
 _UNREACHABLE = math.inf
 
 # Cap on unpacked-matrix cells (rows x n) per source block; the packed
@@ -68,16 +67,13 @@ _BLOCK_CELLS_DIST = 1 << 23
 
 def default_engine() -> str:
     """The process-wide engine: ``vector`` unless the env var says not."""
-    return os.environ.get(ENGINE_ENV, "vector")
+    return Engines.from_env("distance").distance
 
 
 def resolve_engine(engine: str | None) -> str:
-    name = default_engine() if engine is None else engine
-    if name not in DISTANCE_ENGINES:
-        raise ValueError(
-            f"unknown distance engine {name!r}; expected one of {DISTANCE_ENGINES}"
-        )
-    return name
+    if engine is None:
+        return default_engine()
+    return check_engine("distance engine", engine, DISTANCE_ENGINES)
 
 
 # ----------------------------------------------------------------------

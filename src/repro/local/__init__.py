@@ -20,7 +20,7 @@ Public surface:
 * :class:`~repro.local.engine.VectorRuntime` /
   :class:`~repro.local.engine.VectorProgram` — the array-native round
   engine for homogeneous populations (DESIGN.md §3.10), selected by
-  ``REPRO_ROUND_ENGINE`` / ``round_engine=``.
+  ``Engines.rounds`` (:mod:`repro.engines`).
 * :class:`~repro.local.knowledge.Knowledge` — KT0 / EDGE_IDS / KT1.
 """
 

@@ -40,6 +40,7 @@ from repro.core.spanner import SpannerResult
 from repro.dynamic.churn import ChurnPlan, MutationLog
 from repro.dynamic.churn import apply_churn as _apply_churn
 from repro.dynamic.repair import repair_spanner
+from repro.engines import Engines
 from repro.local.faults import FaultPlan
 from repro.local.network import Network
 from repro.simulate.scheme import SchemeReport, theorem3_params
@@ -80,10 +81,10 @@ class SimulationRequest:
     silently honoured).  ``radius`` overrides the flood radius
     ``alpha * t`` the same way it does on
     :func:`~repro.simulate.transformer.simulate_over_spanner`.
-    ``faults`` requires ``engine="runtime"``.  ``round_engine`` selects
-    the round engine backing every kernel execution of the serve
-    (``"vector"``/``"reference"``, DESIGN.md §3.10) — responses are
-    identical either way.  ``allow_stale`` opts the
+    ``engines`` (default :meth:`Engines.from_env`, resolved when the
+    request is served) picks the serve's execution; responses are
+    identical under every choice.  ``faults`` requires the runtime
+    simulation engine.  ``allow_stale`` opts the
     request into degraded answers: when the requested graph's spanner is
     not cached but a cached churn *ancestor* is, the service serves the
     ancestor's graph outright (marked ``"stale"`` in the response) —
@@ -97,12 +98,30 @@ class SimulationRequest:
     radius: int | None = None
     params: SamplerParams | None = None
     seed: int | None = None
-    engine: str = "fast"
-    scheduler: str = "active"
-    distance_engine: str | None = None
-    round_engine: str | None = None
+    engines: Engines | None = None
     faults: FaultPlan | None = None
     allow_stale: bool = False
+
+    def token(self) -> tuple:
+        """The dedupe identity: two requests with equal tokens are one serve.
+
+        The payload object itself stands in for the algorithm (identity
+        hash), which also keeps it alive while the token is held, so a
+        recycled ``id`` can never alias two algorithms.  ``engines``
+        enters resolved, so ``None`` and the process default it resolves
+        to are one execution.
+        """
+        return (
+            self.algo,
+            None if self.network is None else self.network.fingerprint(),
+            self.t,
+            self.radius,
+            self.params,  # frozen dataclass: hashable, equality by value
+            self.seed,
+            Engines.resolve(self.engines),
+            self.faults,
+            self.allow_stale,
+        )
 
 
 @dataclass(frozen=True)
@@ -111,7 +130,7 @@ class SimulationResponse:
 
     report: SchemeReport
     spanner_info: FetchInfo
-    schedule_info: FetchInfo | None  # None under engine="runtime"
+    schedule_info: FetchInfo | None  # None under the runtime engine
     construction_messages_paid: int  # 0 on a warm serve
 
     @property
@@ -449,13 +468,12 @@ class SimulationService:
     def serve(self, requests: Iterable[SimulationRequest | LocalAlgorithm]) -> list[SimulationResponse]:
         """Serve a batch; exact repeats within the batch share one replay.
 
-        Deduplication is by object identity of the request's payload
-        (plus every scalar knob): submitting the *same* algorithm
-        instance twice in one batch re-serves the first response instead
-        of replaying — the only equality the pure-state-machine
-        interface lets the service assume.  The token holds the payload
-        object itself (identity hash), which also keeps it alive for the
-        batch so a recycled ``id`` can never alias two algorithms.
+        Deduplication is by :meth:`SimulationRequest.token`: object
+        identity of the request's payload plus every other field, the
+        engines resolved.  Submitting the *same* algorithm instance twice
+        in one batch re-serves the first response instead of replaying —
+        the only equality the pure-state-machine interface lets the
+        service assume.
 
         Metrics count every request; a deduplicated repeat is recorded
         as pure cache traffic (no construction paid, no new simulation
@@ -469,20 +487,7 @@ class SimulationService:
                 if isinstance(item, SimulationRequest)
                 else SimulationRequest(algo=item)
             )
-            token = (
-                request.algo,  # identity hash; held alive by the dict
-                None if request.network is None else request.network.fingerprint(),
-                request.t,
-                request.radius,
-                request.params,  # frozen dataclass: hashable, equality by value
-                request.seed,
-                request.engine,
-                request.scheduler,
-                request.distance_engine,
-                request.round_engine,
-                request.faults,
-                request.allow_stale,
-            )
+            token = request.token()
             cached = shared.get(token)
             if cached is None:
                 cached = shared[token] = self._answer(request)
@@ -513,6 +518,7 @@ class SimulationService:
             raise ValueError("request has no network and the service has no default")
         params = request.params if request.params is not None else self._params
         seed = request.seed if request.seed is not None else self._seed
+        engines = Engines.resolve(request.engines)
         algo = request.algo
         t = algo.rounds(network.n)
         if request.t is not None and request.t != t:
@@ -529,7 +535,7 @@ class SimulationService:
         radius = request.radius if request.radius is not None else spanner.stretch_bound * t
         schedule = None
         schedule_info = None
-        if request.engine == "fast":
+        if engines.simulation == "fast":
             sub_key = (network.fingerprint(), spanner.edges)
             spanner_net = self._subnets.get(sub_key)
             if spanner_net is None:
@@ -537,7 +543,7 @@ class SimulationService:
                 while len(self._subnets) > _SUBNET_MEMO_CAP:
                     self._subnets.pop(next(iter(self._subnets)))
             schedule, schedule_info = self.store.fetch_flood_schedule(
-                spanner_net, radius, engine=request.distance_engine
+                spanner_net, radius, engine=engines.distance
             )
         simulation = simulate_over_spanner(
             network,
@@ -546,10 +552,7 @@ class SimulationService:
             algo=algo,
             seed=seed,
             radius=radius,
-            engine=request.engine,
-            scheduler=request.scheduler,
-            distance_engine=request.distance_engine,
-            round_engine=request.round_engine,
+            engines=engines,
             schedule=schedule,
             faults=request.faults,
         )

@@ -23,12 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engines import Engines
 from repro.local.engine import (
     PopulationInbox,
     PopulationOutbox,
     VectorProgram,
     VectorRuntime,
-    resolve_round_engine,
 )
 from repro.local.faults import CORRUPTED, FaultPlan
 from repro.local.message import Inbound
@@ -222,14 +222,19 @@ def run_push_pull(
     t: int,
     seed: int = 0,
     *,
-    scheduler: str = "active",
-    round_engine: str | None = None,
+    engines: Engines | None = None,
     faults: FaultPlan | None = None,
 ) -> PushPullReport:
-    """Run push–pull for ``rounds`` rounds; measure ``t``-ball coverage."""
+    """Run push–pull for ``rounds`` rounds; measure ``t``-ball coverage.
+
+    ``engines`` (default :meth:`Engines.from_env`) picks the round
+    engine of the gossip run and the distance plane of the coverage
+    measurement; every combination reports the same.
+    """
     from repro.graphs.distance import balls_and_eccentricities
 
-    if resolve_round_engine(round_engine) == "vector":
+    engines = Engines.resolve(engines)
+    if engines.rounds == "vector":
         report = VectorRuntime(
             network,
             _VectorGossip(network, seed),
@@ -245,9 +250,9 @@ def run_push_pull(
             fixed_rounds=rounds,
             max_rounds=rounds + 1,
             faults=faults,
-            scheduler=scheduler,
+            engine=engines.rounds,
         )
-    balls, _ = balls_and_eccentricities(network, t)
+    balls, _ = balls_and_eccentricities(network, t, engine=engines.distance)
     delivered = 0
     required = 0
     for node in network.nodes():

@@ -26,6 +26,7 @@ from repro.algorithms.base import LocalAlgorithm
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.distributed import build_spanner_distributed
+from repro.engines import Engines
 from repro.local.network import Network
 from repro.simulate.transformer import SimulationOutcome, simulate_over_spanner
 
@@ -97,27 +98,17 @@ def run_one_stage(
     gamma: int = 1,
     params: SamplerParams | None = None,
     seed: int = 0,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    engines: Engines | None = None,
     store=None,
 ) -> SchemeReport:
     """Simulate ``algo`` with the spanner-based scheme, metering both stages.
 
     ``params`` overrides the Theorem 3 parameter choice when supplied
-    (used by experiments that tune the practical constants).  ``engine``
-    selects the simulation-stage implementation: the array-native
-    ``"fast"`` path or the literal ``"runtime"`` baseline; both produce
-    identical reports (DESIGN.md §3.5).  ``scheduler`` selects the
-    stepping discipline of the simulated flood under
-    ``engine="runtime"``; ``"dense"`` is the step-everyone baseline
-    (DESIGN.md §3.6).  ``distance_engine`` selects the fast path's
-    distance plane (DESIGN.md §3.7) and ``round_engine`` the round
-    engine backing every kernel execution of the simulation stage
-    (DESIGN.md §3.10); every combination produces identical reports.
-    The construction stage has no knob: its result is derived, not
-    interpreted (DESIGN.md §3.14).
+    (used by experiments that tune the practical constants).
+    ``engines`` (default :meth:`Engines.from_env`) picks the simulation
+    stage's execution; all eight combinations produce identical reports
+    (DESIGN.md §3.15).  The construction stage has no knob: its result
+    is derived, not interpreted (DESIGN.md §3.14).
 
     ``store`` (an :class:`~repro.store.ArtifactStore`, or ``None`` for
     the ``REPRO_STORE``-driven process default) reuses the
@@ -143,10 +134,7 @@ def run_one_stage(
             alpha=spanner.stretch_bound,
             algo=algo,
             seed=seed,
-            engine=engine,
-            scheduler=scheduler,
-            distance_engine=distance_engine,
-            round_engine=round_engine,
+            engines=engines,
             store=active_store,
         )
         scheme_span.set(messages=simulation.messages.total)

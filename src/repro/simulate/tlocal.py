@@ -10,27 +10,21 @@ message (the LOCAL model does not meter message size), so the total is
 at most ``2 |S| * alpha * t`` — the bound used in the proof of
 Lemma 12.
 
-Two engines compute the outcome (DESIGN.md §3.5):
+Two simulation engines compute the outcome (``Engines.simulation``,
+:mod:`repro.engines`; DESIGN.md §3.5):
 
-* ``engine="fast"`` (default) derives the :class:`FloodReport` directly
-  from batched CSR frontier sweeps (the distance plane, DESIGN.md
-  §3.7): the flood is a deterministic function of the spanner and the
-  radius, so collected sets are radius-balls in ``H`` and the exact
-  message counts follow from first-learn rounds — node ``v`` forwards
-  on all of its ``deg(v)`` ports in round ``r`` iff some item first
-  reached it in round ``r``, i.e. iff ``r`` is at most ``v``'s
-  (radius-capped) eccentricity in ``H``.  No ``Inbound``/``Outbound``
-  object is ever allocated.
-* ``engine="runtime"`` runs the literal :class:`_FloodProgram` on the
-  synchronous kernel — the equivalence baseline (DESIGN.md §3.4 keeps
-  every optimized path's seed behaviour reachable); the test suite
-  asserts report equality between the engines across graph families,
-  radii, and seeds.
-
-Within the fast engine, ``distance_engine`` further selects the
-distance plane's implementation: ``"vector"`` (NumPy bitset sweeps) or
-``"reference"`` (the pure-Python per-node BFS), both producing equal
-:class:`FloodSchedule` values.
+* ``"fast"`` (default) derives the :class:`FloodReport` directly from
+  batched CSR frontier sweeps (the distance plane, DESIGN.md §3.7):
+  the flood is a deterministic function of the spanner and the radius,
+  so collected sets are radius-balls in ``H`` and the exact message
+  counts follow from first-learn rounds — node ``v`` forwards on all of
+  its ``deg(v)`` ports in round ``r`` iff some item first reached it in
+  round ``r``, i.e. iff ``r`` is at most ``v``'s (radius-capped)
+  eccentricity in ``H``.  No ``Inbound``/``Outbound`` object is ever
+  allocated.
+* ``"runtime"`` runs the flood on the synchronous kernel — the oracle.
+  ``Engines.rounds`` picks the bitset population :class:`_VectorFlood`
+  or the literal per-node :class:`_FloodProgram`.
 """
 
 from __future__ import annotations
@@ -41,6 +35,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.engines import Engines
 from repro.graphs.distance import BallFamily, balls_and_eccentricities
 from repro.local.engine import (
     PopulationInbox,
@@ -48,7 +43,6 @@ from repro.local.engine import (
     VectorProgram,
     VectorRuntime,
     broadcast_outbox,
-    resolve_round_engine,
 )
 from repro.local.faults import CORRUPTED
 from repro.local.message import Inbound
@@ -64,9 +58,6 @@ __all__ = [
     "flood_stats",
     "t_local_broadcast",
 ]
-
-FLOOD_ENGINES = ("fast", "runtime")
-
 
 @dataclass(frozen=True)
 class FloodReport:
@@ -325,25 +316,21 @@ def t_local_broadcast(
     radius: int,
     *,
     seed: int = 0,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    engines: Engines | None = None,
     faults=None,
     store=None,
 ) -> FloodReport:
     """Flood each node's payload ``radius`` hops through ``spanner``.
 
     ``spanner`` is typically ``network.subnetwork(S)``; payloads opaque.
-    ``engine="fast"`` derives the report from batched CSR sweeps
-    (:func:`flood_schedule`, honouring ``distance_engine``);
-    ``engine="runtime"`` runs the literal node-program simulation —
-    under ``scheduler="active"`` only the flood frontier is stepped,
-    under ``"dense"`` every node every round.  All combinations produce
-    equal reports.
+    ``engines`` (default :meth:`Engines.from_env`) picks the execution:
+    the fast simulation engine derives the report from batched CSR
+    sweeps (:func:`flood_schedule` on ``engines.distance``); the runtime
+    engine runs the flood on the kernel (``engines.rounds``).  All
+    combinations produce equal reports.
 
     ``faults`` (a :class:`~repro.local.faults.FaultPlan`) injects
-    message drops and requires ``engine="runtime"`` — the fast engine is
+    message drops and requires the runtime engine — the fast engine is
     an analytic derivation of the failure-free flood, so a non-noop plan
     under it raises.  ``store`` (an
     :class:`~repro.store.ArtifactStore`, or ``None`` for the
@@ -351,13 +338,12 @@ def t_local_broadcast(
     cached :class:`FloodSchedule` for this spanner; omitted or off, the
     schedule is derived from scratch exactly as before (DESIGN.md §3.8).
     """
-    if engine not in FLOOD_ENGINES:
-        raise ValueError(f"unknown flood engine {engine!r}; expected one of {FLOOD_ENGINES}")
-    if engine == "runtime":
-        if resolve_round_engine(round_engine) == "vector":
+    engines = Engines.resolve(engines)
+    if engines.simulation == "runtime":
+        if engines.rounds == "vector":
             # Flooding is seed-free and single-tag: the bitset
             # population is RunReport-identical to the per-node
-            # program under every scheduler, fault plan included.
+            # program, fault plan included.
             report = VectorRuntime(
                 spanner,
                 _VectorFlood(spanner, payload_of, radius),
@@ -373,7 +359,7 @@ def t_local_broadcast(
                 fixed_rounds=radius,
                 max_rounds=radius + 1,
                 faults=faults,
-                scheduler=scheduler,
+                engine=engines.rounds,
             )
         return FloodReport(
             collected=report.outputs,
@@ -382,16 +368,16 @@ def t_local_broadcast(
         )
     if faults is not None and not faults.is_noop:
         raise ValueError(
-            "fault plans require engine='runtime': the fast engine derives "
+            "fault plans require the runtime engine: the fast engine derives "
             "the failure-free flood analytically"
         )
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
     active_store = resolve_store(store)
     if active_store is not None:
-        schedule = active_store.flood_schedule(spanner, radius, engine=distance_engine)
+        schedule = active_store.flood_schedule(spanner, radius, engine=engines.distance)
     else:
-        schedule = flood_schedule(spanner, radius, engine=distance_engine)
+        schedule = flood_schedule(spanner, radius, engine=engines.distance)
     payloads = [payload_of(v) for v in range(spanner.n)]
     collected = {
         v: {origin: payloads[origin] for origin in ball}

@@ -18,10 +18,10 @@ to the direct runner's derivation, so the simulated outputs equal the
 direct outputs *bit for bit* — the property the test suite asserts for
 every payload algorithm.
 
-Engines (DESIGN.md §3.5).  ``engine="runtime"`` is the literal
-reference: a simulated flood, then one independent replay per center,
-each rebuilding its own ``owners``/``endpoint_of`` maps from the
-collected reports.  ``engine="fast"`` (default) exploits that the
+Simulation engines (``Engines.simulation``, DESIGN.md §3.5).
+``"runtime"`` is the oracle: a simulated flood, then one independent
+replay per center, each rebuilding its own ``owners``/``endpoint_of``
+maps from the collected reports.  ``"fast"`` (default) exploits that the
 replays are all prefixes of one deterministic execution: the flood's
 first-learn schedule (:func:`~repro.simulate.tlocal.flood_schedule`)
 gives every center's collected ball, the reconstruction every center
@@ -42,16 +42,11 @@ from typing import Any, Iterable, Mapping
 
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.algorithms.runner import node_tape, run_inprocess
-from repro.graphs.distance import (
-    BallFamily,
-    adjacency_csr,
-    ball_matrix_blocks,
-    resolve_engine,
-)
+from repro.engines import Engines
+from repro.graphs.distance import BallFamily, adjacency_csr, ball_matrix_blocks
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
 from repro.simulate.tlocal import (
-    FLOOD_ENGINES,
     FloodReport,
     FloodSchedule,
     flood_schedule,
@@ -84,25 +79,18 @@ def simulate_over_spanner(
     seed: int = 0,
     *,
     radius: int | None = None,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    engines: Engines | None = None,
     schedule: FloodSchedule | None = None,
     faults=None,
     store=None,
 ) -> SimulationOutcome:
     """Run ``algo`` via ``t``-local broadcast over the given spanner.
 
-    ``scheduler`` only matters under ``engine="runtime"`` (the fast
-    engine never touches the round engine); both settings produce
-    identical outcomes (DESIGN.md §3.6).  ``distance_engine`` selects
-    the fast path's distance plane (``"vector"``/``"reference"``,
-    DESIGN.md §3.7) — again outcome-identical either way.
-    ``round_engine`` selects the round engine (DESIGN.md §3.10): under
-    ``engine="runtime"`` it picks the flood's execution backend, under
-    ``engine="fast"`` it picks the shared replay's backend — identical
-    outcomes in all four combinations.
+    ``engines`` (default :meth:`Engines.from_env`) picks the execution
+    of every layer: the simulation engine (runtime flood + per-center
+    replay, or schedule + shared replay), the fast path's distance plane
+    and the round engine behind the flood or the shared replay.  Every
+    combination produces identical outcomes (DESIGN.md §3.15).
 
     ``schedule`` lets a caller that already holds this spanner's
     :class:`FloodSchedule` at exactly the flood radius (the simulation
@@ -110,22 +98,19 @@ def simulate_over_spanner(
     is unchanged.  ``store`` (or the ``REPRO_STORE`` process default)
     caches the derivation instead (DESIGN.md §3.8); an explicit
     ``schedule`` wins over both.  ``faults`` injects message drops and
-    requires ``engine="runtime"`` (the fast engine is the analytic
+    requires the runtime engine (the fast engine is the analytic
     failure-free derivation).
     """
-    if engine not in FLOOD_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {FLOOD_ENGINES}")
+    engines = Engines.resolve(engines)
     t = algo.rounds(network.n)
     flood_radius = radius if radius is not None else alpha * t
-    if engine == "runtime":
+    if engines.simulation == "runtime":
         flood: FloodReport = t_local_broadcast(
             network.subnetwork(spanner_edges),
             payload_of=lambda node: tuple(network.incident(node)),
             radius=flood_radius,
             seed=seed,
-            engine="runtime",
-            scheduler=scheduler,
-            round_engine=round_engine,
+            engines=engines,
             faults=faults,
         )
         outputs = {
@@ -142,7 +127,7 @@ def simulate_over_spanner(
         )
     if faults is not None and not faults.is_noop:
         raise ValueError(
-            "fault plans require engine='runtime': the fast engine derives "
+            "fault plans require the runtime engine: the fast engine derives "
             "the failure-free flood analytically"
         )
     if schedule is None:
@@ -154,24 +139,16 @@ def simulate_over_spanner(
         active_store = resolve_store(store)
         if active_store is not None:
             schedule = active_store.flood_schedule(
-                spanner, flood_radius, engine=distance_engine
+                spanner, flood_radius, engine=engines.distance
             )
         else:
-            schedule = flood_schedule(spanner, flood_radius, engine=distance_engine)
+            schedule = flood_schedule(spanner, flood_radius, engine=engines.distance)
     elif schedule.rounds != max(0, flood_radius):
         raise ValueError(
             f"precomputed schedule covers radius {schedule.rounds}, "
             f"this simulation floods radius {flood_radius}"
         )
-    outputs = _replay_shared(
-        network,
-        algo,
-        t,
-        seed,
-        schedule,
-        engine=distance_engine,
-        round_engine=round_engine,
-    )
+    outputs = _replay_shared(network, algo, t, seed, schedule, engines=engines)
     return SimulationOutcome(
         outputs=outputs,
         messages=schedule.messages,
@@ -188,8 +165,7 @@ def _replay_shared(
     seed: int,
     schedule: FloodSchedule,
     *,
-    engine: str | None = None,
-    round_engine: str | None = None,
+    engines: Engines,
 ) -> dict[int, Any]:
     """One global replay serving every center whose ball is covered.
 
@@ -199,17 +175,17 @@ def _replay_shared(
     global one — so those centers share a single ``t``-round execution.
     Centers left uncovered by the flood (radius below ``alpha * t``, or
     a non-spanner edge set) replay literally on their partial ball, which
-    keeps this path output-identical to ``engine="runtime"`` always.
+    keeps this path output-identical to the runtime engine always.
 
     The coverage verdict ``B_t(center) ⊆ ball(center)`` is computed by
     the distance plane: a member-only BFS from ``center`` hits a
     non-member within ``t`` hops iff the full ``B_t`` contains a
     non-member (walk any shortest path to the offending node — its
     first non-member lies within ``t`` hops through members), so the
-    vector engine checks ``B_t & ~ball`` over boolean rows while the
-    reference engine keeps the early-exiting member-only Python BFS.
+    vector distance engine checks ``B_t & ~ball`` over boolean rows
+    while the reference engine keeps the early-exiting member-only
+    Python BFS.
     """
-    engine = resolve_engine(engine)
     n = network.n
     balls = schedule.balls
     family = (
@@ -221,7 +197,7 @@ def _replay_shared(
     # A ball that already holds all n nodes covers any B_t trivially.
     candidates = [center for center in range(n) if sizes[center] != n]
     uncovered: list[int] = []
-    if candidates and engine == "reference":
+    if candidates and engines.distance == "reference":
         neighbors = [network.neighbors(v) for v in range(n)]
         for center in candidates:
             members = family[center]
@@ -261,7 +237,7 @@ def _replay_shared(
     outputs = (
         {}
         if len(uncovered) == n
-        else run_inprocess(network, algo, seed, round_engine=round_engine)
+        else run_inprocess(network, algo, seed, engines=engines)
     )
     for center in uncovered:
         reports = {x: network.incident(x) for x in family[center]}

@@ -27,6 +27,7 @@ from repro.baselines.baswana_sen import BaswanaSenLocal
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.distributed import build_spanner_distributed
+from repro.engines import Engines
 from repro.local.network import Network
 from repro.simulate.transformer import SimulationOutcome, simulate_over_spanner
 
@@ -88,25 +89,15 @@ def run_two_stage(
     stage1_params: SamplerParams,
     stage2_k: int = 3,
     seed: int = 0,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    engines: Engines | None = None,
     store=None,
 ) -> TwoStageReport:
     """Run the full two-stage pipeline, metering every stage.
 
-    ``engine`` selects the simulation-stage implementation for both
-    simulated stages — ``"fast"`` (array-native flood + shared replay)
-    or ``"runtime"`` (the literal baseline); reports are identical.
-    ``scheduler`` selects the stepping discipline of both simulated
-    floods under ``engine="runtime"``; ``"dense"`` is the baseline
-    (DESIGN.md §3.6).  The stage-1 construction is derived (DESIGN.md
-    §3.14) and takes no engine knob.
-    ``distance_engine`` selects the fast path's distance plane
-    (DESIGN.md §3.7) and ``round_engine`` the round engine backing
-    every kernel execution (DESIGN.md §3.10); every combination
-    produces identical reports.
+    ``engines`` (default :meth:`Engines.from_env`) picks the execution
+    of both simulated stages; all eight combinations produce identical
+    reports (DESIGN.md §3.15).  The stage-1 construction is derived
+    (DESIGN.md §3.14) and takes no engine knob.
 
     ``store`` (or the ``REPRO_STORE`` process default) caches the
     payload-independent artifacts of *all three* stages: the ``H1``
@@ -118,6 +109,7 @@ def run_two_stage(
     """
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
+    engines = Engines.resolve(engines)
     active_store = resolve_store(store)
     if active_store is not None:
         stage1 = active_store.spanner(network, stage1_params)
@@ -131,10 +123,7 @@ def run_two_stage(
         alpha=stage1.stretch_bound,
         algo=stage2_algo,
         seed=seed,
-        engine=engine,
-        scheduler=scheduler,
-        distance_engine=distance_engine,
-        round_engine=round_engine,
+        engines=engines,
         store=active_store,
     )
     stage2_edges: set[int] = set()
@@ -147,10 +136,7 @@ def run_two_stage(
         alpha=stage2_algo.stretch_bound,
         algo=algo,
         seed=seed,
-        engine=engine,
-        scheduler=scheduler,
-        distance_engine=distance_engine,
-        round_engine=round_engine,
+        engines=engines,
         store=active_store,
     )
     return TwoStageReport(

@@ -20,6 +20,7 @@ import pytest
 
 from repro.algorithms import BfsLayers, MinIdAggregation
 from repro.core import SamplerParams
+from repro.engines import ORACLE, Engines
 from repro.errors import ServiceTimeout
 from repro.graphs import erdos_renyi
 from repro.service import (
@@ -52,10 +53,17 @@ class TestSingleflight:
         test usually wins.
         """
         n_threads = 6
+        # A fresh store keeps the key cold even under a warm REPRO_STORE.
         front = ConcurrentSimulationService(
-            net, params=PARAMS, seed=0, max_workers=n_threads, merge_window=0.0
+            net,
+            params=PARAMS,
+            seed=0,
+            max_workers=n_threads,
+            merge_window=0.0,
+            store=ArtifactStore(),
         )
         key = spanner_key(net.fingerprint(), PARAMS)
+        reference = _reference(net, MinIdAggregation(2))  # before the gate
         import repro.core.distributed as distributed
 
         real_build = distributed.build_spanner_distributed
@@ -84,7 +92,6 @@ class TestSingleflight:
         assert snapshot["spanner_builds"] == 1
         assert snapshot["coalesced"] == n_threads - 1
         assert snapshot["requests"] == n_threads
-        reference = _reference(net, algos[0])
         assert all(
             response.report.outputs == reference.outputs
             for response in responses
@@ -192,6 +199,38 @@ class TestBatchingWindow:
             front.serve([MinIdAggregation(2), BfsLayers(0, 2)])
         snapshot = front.metrics.snapshot()
         assert snapshot["merged"] == 0
+
+    def test_default_and_resolved_engines_merge(self, net):
+        # engines=None resolves to the process default, so it is the
+        # same execution as naming that default: one serve, one merge.
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, max_workers=2, merge_window=0.5
+        )
+        payload = MinIdAggregation(2)
+        with front:
+            responses = front.serve(
+                [
+                    SimulationRequest(algo=payload),
+                    SimulationRequest(algo=payload, engines=Engines.from_env()),
+                ]
+            )
+        assert front.metrics.snapshot()["merged"] == 1
+        assert responses[0] is responses[1]
+
+    def test_distinct_engines_are_not_merged(self, net):
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, max_workers=2, merge_window=0.5
+        )
+        payload = MinIdAggregation(2)
+        with front:
+            responses = front.serve(
+                [
+                    SimulationRequest(algo=payload),
+                    SimulationRequest(algo=payload, engines=ORACLE),
+                ]
+            )
+        assert front.metrics.snapshot()["merged"] == 0
+        assert responses[0].report == responses[1].report
 
     def test_window_expires(self, net):
         front = ConcurrentSimulationService(

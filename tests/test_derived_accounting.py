@@ -9,12 +9,15 @@ two ``SpannerResult``s must be equal in full: edges, trace, rounds, and
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import validate_spanner
 from repro.core import SamplerParams, SpannerResult
 from repro.core.distributed import build_spanner_distributed, simulate_sampler
+from repro.errors import SimulationError
 from repro.graphs import caveman, complete_graph, dense_gnm, erdos_renyi, torus
 from repro.local.network import Network
 from test_core_equivalence import CASES
@@ -102,3 +105,55 @@ def test_derived_round_trips_through_npz_equal_to_oracle(tmp_path):
 def test_derived_result_is_a_valid_spanner():
     net = erdos_renyi(80, 0.12, seed=2)
     validate_spanner(build_spanner_distributed(net, SamplerParams(k=2, h=2, seed=11)))
+
+
+@pytest.mark.parametrize("kh,seed", [((2, 2), 208), ((3, 1), 718)])
+def test_oracle_runs_the_whole_schedule_after_an_early_finish(kh, seed):
+    # Every cluster of caveman(5, 6) finishes before the last level on
+    # these seeds: all nodes halt early, yet the run lasts the schedule
+    # and the trailing levels are traced empty, as the derived view says.
+    k, h = kh
+    net = caveman(5, 6)
+    params = SamplerParams(k=k, h=h, seed=seed, c_query=0.7, c_target=1.0)
+    oracle = simulate_sampler(net, params)
+    assert oracle.trace.levels[-1].population == 0
+    assert_results_equal(build_spanner_distributed(net, params), oracle)
+
+
+def _doctored_run(monkeypatch, doctor):
+    """Make ``simulate_sampler`` see ``doctor(report)`` instead of its run."""
+    from repro.core.distributed import driver
+
+    real = driver.run_program
+    monkeypatch.setattr(
+        driver, "run_program", lambda *a, **kw: doctor(real(*a, **kw))
+    )
+
+
+def test_oracle_rejects_a_run_past_the_schedule(monkeypatch):
+    _doctored_run(monkeypatch, lambda report: replace(report, rounds=report.rounds + 1))
+    with pytest.raises(SimulationError, match="round overrun"):
+        simulate_sampler(erdos_renyi(40, 0.15, seed=1), SamplerParams(k=2, h=2, seed=3))
+
+
+def test_oracle_rejects_a_record_beyond_the_last_level(monkeypatch):
+    def doctor(report):
+        out = report.outputs[0]
+        extra = dict(out["records"][0], level=out["records"][0]["level"] + 99)
+        out["records"] = [*out["records"], extra]
+        return report
+
+    _doctored_run(monkeypatch, doctor)
+    with pytest.raises(SimulationError, match="archived at level"):
+        simulate_sampler(erdos_renyi(40, 0.15, seed=1), SamplerParams(k=2, h=2, seed=3))
+
+
+def test_oracle_rejects_an_early_halt_with_clusters_left(monkeypatch):
+    # Truncating a full run to end early leaves the last level populated:
+    # that is a protocol fault, not an early finish.
+    net = erdos_renyi(40, 0.15, seed=1)
+    params = SamplerParams(k=2, h=2, seed=3)
+    assert simulate_sampler(net, params).trace.levels[-1].population
+    _doctored_run(monkeypatch, lambda report: replace(report, rounds=report.rounds - 1))
+    with pytest.raises(SimulationError, match="rounds early with clusters left"):
+        simulate_sampler(net, params)

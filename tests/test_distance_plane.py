@@ -11,6 +11,7 @@ unit tests pin the edge cases property shrinking tends to miss.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import math
 import random
 
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algorithms import BallCollect, MinIdAggregation
 from repro.analysis.stretch import adjacent_pair_stretch, bfs_distances, pairwise_stretch
 from repro.core import SamplerParams, build_spanner
+from repro.engines import Engines
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.graphs.distance import (
     DISTANCE_ENGINES,
@@ -160,7 +162,7 @@ class TestSimulationEquality:
                 algo,
                 seed=7,
                 radius=radius,
-                distance_engine=engine,
+                engines=replace(Engines.from_env(), distance=engine),
             )
             for engine in DISTANCE_ENGINES
         ]

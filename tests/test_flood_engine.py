@@ -1,7 +1,7 @@
 """Engine-equivalence tests for the fast flood (DESIGN.md §3.5).
 
 The fast engine derives :class:`FloodReport` from CSR frontier sweeps;
-``engine="runtime"`` simulates the literal ``_FloodProgram``.  The
+the runtime engine (``Engines("runtime")``) simulates the flood.  The
 contract: *equal reports* — collected sets, rounds, and the full
 ``MessageStats`` (total, ``by_tag``, ``per_round``) — on every tested
 family × radius × seed combination, and identical simulation outcomes
@@ -10,11 +10,13 @@ through :func:`simulate_over_spanner` either way.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import pytest
 
 from repro.algorithms import BallCollect, LubyMis, MinIdAggregation, run_direct
 from repro.analysis.stretch import bfs_distances
 from repro.core import SamplerParams, build_spanner
+from repro.engines import Engines
 from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.simulate import (
     flood_schedule,
@@ -23,6 +25,12 @@ from repro.simulate import (
     simulate_over_spanner,
     t_local_broadcast,
 )
+
+# Fields a test does not pin follow the process env, so the oracle-engines
+# CI job still drives them through the reference planes.
+ENV = Engines.from_env()
+FAST = replace(ENV, simulation="fast")
+RUNTIME = replace(ENV, simulation="runtime")
 
 FAMILIES = [
     ("gnp", lambda seed: erdos_renyi(60, 0.1, seed=seed)),
@@ -43,8 +51,8 @@ class TestEngineEquivalence:
     def test_flood_reports_equal(self, family, make, radius, seed):
         net = make(seed)
         sub, _ = _spanner_sub(net, seed)
-        fast = t_local_broadcast(sub, lambda v: (v, "p"), radius, engine="fast")
-        slow = t_local_broadcast(sub, lambda v: (v, "p"), radius, engine="runtime")
+        fast = t_local_broadcast(sub, lambda v: (v, "p"), radius, engines=FAST)
+        slow = t_local_broadcast(sub, lambda v: (v, "p"), radius, engines=RUNTIME)
         assert fast.collected == slow.collected
         assert fast.rounds == slow.rounds
         assert fast.messages.total == slow.messages.total
@@ -58,10 +66,10 @@ class TestEngineEquivalence:
         sub, result = _spanner_sub(net, 3)
         for algo in (BallCollect(2), MinIdAggregation(2), LubyMis(phases=3)):
             fast = simulate_over_spanner(
-                net, result.edges, result.stretch_bound, algo, seed=11, engine="fast"
+                net, result.edges, result.stretch_bound, algo, seed=11, engines=FAST
             )
             slow = simulate_over_spanner(
-                net, result.edges, result.stretch_bound, algo, seed=11, engine="runtime"
+                net, result.edges, result.stretch_bound, algo, seed=11, engines=RUNTIME
             )
             assert fast.outputs == slow.outputs
             assert fast.messages == slow.messages
@@ -79,21 +87,22 @@ class TestEngineEquivalence:
         for radius in (0, 1, 2):
             fast = simulate_over_spanner(
                 net, result.edges, result.stretch_bound, algo,
-                seed=7, radius=radius, engine="fast",
+                seed=7, radius=radius, engines=FAST,
             )
             slow = simulate_over_spanner(
                 net, result.edges, result.stretch_bound, algo,
-                seed=7, radius=radius, engine="runtime",
+                seed=7, radius=radius, engines=RUNTIME,
             )
             assert fast.outputs == slow.outputs
             assert fast.messages == slow.messages
 
     def test_unknown_engine_rejected(self):
-        net = torus(4, 4)
-        with pytest.raises(ValueError):
-            t_local_broadcast(net, lambda v: v, 2, engine="warp")
-        with pytest.raises(ValueError):
-            simulate_over_spanner(net, net.edge_ids, 1, BallCollect(1), engine="warp")
+        with pytest.raises(ValueError, match="unknown simulation engine 'warp'"):
+            Engines("warp")
+        with pytest.raises(ValueError, match="unknown distance engine"):
+            Engines(distance="warp")
+        with pytest.raises(ValueError, match="unknown round engine"):
+            Engines(rounds="warp")
 
     @pytest.mark.parametrize("family,make", FAMILIES, ids=[f[0] for f in FAMILIES])
     def test_distance_engines_agree_through_broadcast(self, family, make):
@@ -101,9 +110,11 @@ class TestEngineEquivalence:
         produce the same FloodReport through t_local_broadcast."""
         net = make(4)
         sub, _ = _spanner_sub(net, 4)
-        vector = t_local_broadcast(sub, lambda v: (v, "p"), 3, distance_engine="vector")
+        vector = t_local_broadcast(
+            sub, lambda v: (v, "p"), 3, engines=replace(ENV, distance="vector")
+        )
         reference = t_local_broadcast(
-            sub, lambda v: (v, "p"), 3, distance_engine="reference"
+            sub, lambda v: (v, "p"), 3, engines=replace(ENV, distance="reference")
         )
         assert vector == reference
 
@@ -151,8 +162,8 @@ class TestSchemesThroughEngines:
         net = erdos_renyi(60, 0.18, seed=14)
         algo = MinIdAggregation(2)
         params = SamplerParams(k=1, h=2, seed=5)
-        fast = run_one_stage(net, algo, params=params, seed=2, engine="fast")
-        slow = run_one_stage(net, algo, params=params, seed=2, engine="runtime")
+        fast = run_one_stage(net, algo, params=params, seed=2, engines=FAST)
+        slow = run_one_stage(net, algo, params=params, seed=2, engines=RUNTIME)
         direct = run_direct(net, algo, seed=2)
         assert fast.outputs == slow.outputs == direct.outputs
         assert fast.total_messages == slow.total_messages
@@ -162,8 +173,8 @@ class TestSchemesThroughEngines:
         net = erdos_renyi(60, 0.18, seed=14)
         algo = BallCollect(2)
         params = SamplerParams(k=1, h=2, seed=5)
-        fast = run_two_stage(net, algo, stage1_params=params, stage2_k=2, seed=2, engine="fast")
-        slow = run_two_stage(net, algo, stage1_params=params, stage2_k=2, seed=2, engine="runtime")
+        fast = run_two_stage(net, algo, stage1_params=params, stage2_k=2, seed=2, engines=FAST)
+        slow = run_two_stage(net, algo, stage1_params=params, stage2_k=2, seed=2, engines=RUNTIME)
         direct = run_direct(net, algo, seed=2)
         assert fast.outputs == slow.outputs == direct.outputs
         assert fast.stage2_edges == slow.stage2_edges

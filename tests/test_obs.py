@@ -21,6 +21,7 @@ from repro.core import SamplerParams, build_spanner
 from repro.graphs import erdos_renyi
 from repro.local.metrics import MessageStats
 from repro.simulate import run_one_stage
+from repro.store import ArtifactStore
 
 PARAMS = SamplerParams(k=2, h=2, seed=3)
 
@@ -134,7 +135,10 @@ class TestDeterminism:
         assert all(r["parent"] == roots[0]["id"] for r in levels)
 
     def test_runtime_span_carries_roll_ups(self, net, obs_on):
-        report = run_one_stage(net, MinIdAggregation(2), params=PARAMS, seed=0)
+        # A fresh store: the build must run even under a warm REPRO_STORE.
+        report = run_one_stage(
+            net, MinIdAggregation(2), params=PARAMS, seed=0, store=ArtifactStore()
+        )
         records = obs.collector().finished()
         builds = [r for r in records if r["name"] == "build/distributed"]
         assert builds, "no build/distributed span recorded"

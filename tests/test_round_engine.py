@@ -1,7 +1,7 @@
 """The array-native round engine contract (DESIGN.md §3.10).
 
-One pillar, checked from many directions: ``round_engine="vector"`` and
-``round_engine="reference"`` produce identical
+One pillar, checked from many directions: ``Engines(rounds="vector")``
+and ``Engines(rounds="reference")`` produce identical
 :class:`~repro.local.metrics.RunReport`s — outputs, rounds, ``halted``,
 ``total``/``by_tag``/``per_round``/``dropped``/``corrupted`` — for every
 shipped population (flood, gossip, registered LOCAL algorithms, and the
@@ -14,6 +14,7 @@ witnesses.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -30,6 +31,7 @@ from repro.core import SamplerParams
 from repro.core.distributed import simulate_sampler
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
+from repro.engines import Engines
 from repro.errors import ProtocolError
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local import FaultPlan, Network
@@ -37,6 +39,7 @@ from repro.local.engine import VectorRuntime, resolve_round_engine
 from repro.local.runtime import run_program
 from repro.simulate import t_local_broadcast
 from repro.simulate.gossip import PushPullGossip, _VectorGossip, run_push_pull
+from repro.simulate.tlocal import _FloodProgram
 
 FAMILIES = {
     "gnp": lambda: erdos_renyi(60, 0.12, seed=5),
@@ -44,6 +47,11 @@ FAMILIES = {
     "ba": lambda: barabasi_albert(64, 2, seed=7),
 }
 SEEDS = (0, 1, 2)
+# Fields a test does not pin follow the process env, so the oracle-engines
+# CI job still drives them through the reference planes.
+ENV = Engines.from_env()
+VECTOR = replace(ENV, rounds="vector")
+REFERENCE = replace(ENV, rounds="reference")
 PLANS = {
     "none": None,
     "drops": FaultPlan(drop_probability=0.05, seed=13),
@@ -119,8 +127,7 @@ class TestFloodEngine:
                 net,
                 payload_of=lambda v: ("ball", v),
                 radius=3,
-                engine="runtime",
-                round_engine=engine,
+                engines=replace(ENV, simulation="runtime", rounds=engine),
                 faults=PLANS[plan],
             )
             for engine in ("vector", "reference")
@@ -138,17 +145,17 @@ class TestFloodEngine:
     def test_against_both_reference_schedulers(self, scheduler):
         net = FAMILIES["gnp"]()
         vec = t_local_broadcast(
-            net, lambda v: (v,), radius=2, engine="runtime", round_engine="vector"
+            net, lambda v: (v,), radius=2, engines=replace(ENV, simulation="runtime", rounds="vector")
         )
-        ref = t_local_broadcast(
+        ref = run_program(
             net,
-            lambda v: (v,),
-            radius=2,
-            engine="runtime",
-            round_engine="reference",
+            lambda node: _FloodProgram(node, (node,), 2),
+            fixed_rounds=2,
+            max_rounds=3,
             scheduler=scheduler,
+            engine="reference",
         )
-        assert vec.collected == ref.collected
+        assert vec.collected == ref.outputs
         assert vec.messages.per_round == ref.messages.per_round
 
     def test_isolated_nodes(self):
@@ -157,7 +164,7 @@ class TestFloodEngine:
         net = Network.from_edge_pairs(7, [(0, 1), (1, 2), (2, 3)])
         reports = [
             t_local_broadcast(
-                net, lambda v: v, radius=2, engine="runtime", round_engine=engine
+                net, lambda v: v, radius=2, engines=replace(ENV, simulation="runtime", rounds=engine)
             )
             for engine in ("vector", "reference")
         ]
@@ -176,8 +183,7 @@ class TestFloodEngine:
                 net,
                 payload_of=lambda v: (v, v * v),
                 radius=radius,
-                engine="runtime",
-                round_engine=engine,
+                engines=replace(ENV, simulation="runtime", rounds=engine),
                 faults=PLANS[plan],
             )
             for engine in ("vector", "reference")
@@ -204,14 +210,22 @@ class TestGossipEngine:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_coverage_report_identical(self, scheduler, seed):
         net = FAMILIES["ba"]()
-        vec = run_push_pull(net, rounds=6, t=2, seed=seed, round_engine="vector")
-        ref = run_push_pull(
-            net, rounds=6, t=2, seed=seed, round_engine="reference", scheduler=scheduler
+        vec = run_push_pull(net, rounds=6, t=2, seed=seed, engines=VECTOR)
+        ref = run_push_pull(net, rounds=6, t=2, seed=seed, engines=REFERENCE)
+        direct = run_program(
+            net,
+            PushPullGossip,
+            seed=seed,
+            fixed_rounds=6,
+            max_rounds=7,
+            scheduler=scheduler,
+            engine="reference",
         )
         assert vec.coverage == ref.coverage
-        assert vec.rounds == ref.rounds
-        assert vec.messages.total == ref.messages.total
+        assert vec.rounds == ref.rounds == direct.rounds
+        assert vec.messages.total == ref.messages.total == direct.messages.total
         assert vec.messages.per_round == ref.messages.per_round
+        assert vec.messages.per_round == direct.messages.per_round
 
     def test_isolated_nodes(self):
         # An isolated node halts reactively on both engines (it can
@@ -243,8 +257,8 @@ class TestAlgorithmEngine:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_run_direct_identical(self, algo, seed):
         net = FAMILIES["gnp"]()
-        vec = run_direct(net, algo, seed=seed, round_engine="vector")
-        ref = run_direct(net, algo, seed=seed, round_engine="reference")
+        vec = run_direct(net, algo, seed=seed, engines=VECTOR)
+        ref = run_direct(net, algo, seed=seed, engines=REFERENCE)
         assert vec.outputs == ref.outputs
         assert vec.rounds == ref.rounds
         assert vec.messages.total == ref.messages.total
@@ -255,8 +269,8 @@ class TestAlgorithmEngine:
     def test_run_direct_under_drops(self, algo):
         net = FAMILIES["torus"]()
         plan = PLANS["drops"]
-        vec = run_direct(net, algo, seed=1, round_engine="vector", faults=plan)
-        ref = run_direct(net, algo, seed=1, round_engine="reference", faults=plan)
+        vec = run_direct(net, algo, seed=1, engines=VECTOR, faults=plan)
+        ref = run_direct(net, algo, seed=1, engines=REFERENCE, faults=plan)
         assert vec.outputs == ref.outputs
         assert vec.messages.per_round == ref.messages.per_round
         assert vec.messages.dropped == ref.messages.dropped
@@ -272,7 +286,11 @@ class TestAlgorithmEngine:
 
         def run(engine):
             return run_direct(
-                net, MinIdAggregation(3), seed=2, round_engine=engine, faults=plan
+                net,
+                MinIdAggregation(3),
+                seed=2,
+                engines=replace(ENV, rounds=engine),
+                faults=plan,
             )
 
         outcomes = {}
@@ -292,8 +310,8 @@ class TestAlgorithmEngine:
     def test_isolated_nodes(self):
         net = Network.from_edge_pairs(4, [(0, 1)])
         for algo in (MinIdAggregation(2), BallCollect(3)):
-            vec = run_direct(net, algo, seed=1, round_engine="vector")
-            ref = run_direct(net, algo, seed=1, round_engine="reference")
+            vec = run_direct(net, algo, seed=1, engines=VECTOR)
+            ref = run_direct(net, algo, seed=1, engines=REFERENCE)
             assert vec.outputs == ref.outputs
             assert vec.rounds == ref.rounds
             assert vec.messages.per_round == ref.messages.per_round
@@ -306,8 +324,8 @@ class TestAlgorithmEngine:
     )
     def test_property_run_direct(self, net: Network, seed: int, index: int):
         algo = ALGORITHMS[index]
-        vec = run_direct(net, algo, seed=seed, round_engine="vector")
-        ref = run_direct(net, algo, seed=seed, round_engine="reference")
+        vec = run_direct(net, algo, seed=seed, engines=VECTOR)
+        ref = run_direct(net, algo, seed=seed, engines=REFERENCE)
         assert vec.outputs == ref.outputs
         assert vec.rounds == ref.rounds
         assert vec.messages.per_round == ref.messages.per_round

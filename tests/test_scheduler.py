@@ -5,9 +5,10 @@ Two pillars:
 1. **Equivalence** — ``scheduler="active"`` and ``scheduler="dense"``
    produce identical :class:`~repro.local.metrics.RunReport`s (outputs,
    rounds, ``total``, ``by_tag``, ``per_round``, ``halted``) for the
-   distributed ``Sampler`` and every simulate path, across graph
-   families × seeds, including runs with fault plans and
-   ``fixed_rounds``.
+   distributed ``Sampler`` and the per-node programs of every simulate
+   path, across graph families × seeds, including runs with fault plans
+   and ``fixed_rounds``.  The scheduler is a knob of ``run_program``
+   and ``simulate_sampler`` only, where it changes cost.
 2. **Quiescence** — sleeping nodes are genuinely not stepped on
    empty-inbox rounds, inbound messages always wake them, and the wake
    API enforces its declared invariants.
@@ -15,20 +16,23 @@ Two pillars:
 
 from __future__ import annotations
 
+from dataclasses import replace
 import pytest
 
 from repro.algorithms import BallCollect, MinIdAggregation
-from repro.algorithms.runner import run_direct
+from repro.algorithms.runner import _AlgorithmProgram, run_direct
 from repro.core import SamplerParams
 from repro.core.distributed import simulate_sampler
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
+from repro.engines import ROUND_ENGINES, Engines
 from repro.errors import ProtocolError
 from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.local import FaultPlan, Network, NodeProgram
-from repro.local.runtime import run_program
-from repro.simulate import run_one_stage, run_two_stage, t_local_broadcast
-from repro.simulate.gossip import run_push_pull
+from repro.local.runtime import Runtime, run_program
+from repro.simulate import t_local_broadcast
+from repro.simulate.gossip import PushPullGossip
+from repro.simulate.tlocal import _FloodProgram
 
 FAMILIES = {
     "gnp": lambda: erdos_renyi(60, 0.12, seed=5),
@@ -113,94 +117,135 @@ class TestSamplerEquivalence:
         assert dense.messages.dropped > 0
 
 
+@pytest.fixture
+def dense_spy(monkeypatch):
+    """Count ``Runtime._run_dense`` calls, so a "dense" leg provably ran
+    the dense scheduler rather than a path that ignores the knob."""
+    calls = []
+    run_dense = Runtime._run_dense
+
+    def spy(self):
+        calls.append(self)
+        return run_dense(self)
+
+    monkeypatch.setattr(Runtime, "_run_dense", spy)
+    return calls
+
+
+def run_flood(net, radius, seed, scheduler):
+    return run_program(
+        net,
+        lambda node: _FloodProgram(node, ("ball", node), radius),
+        seed=seed,
+        fixed_rounds=radius,
+        max_rounds=radius + 1,
+        scheduler=scheduler,
+    )
+
+
+def run_algorithm(net, algo, seed, scheduler):
+    t = algo.rounds(net.n)
+    return run_program(
+        net,
+        lambda node: _AlgorithmProgram(node, algo, seed, t),
+        seed=seed,
+        max_rounds=t + 2,
+        scheduler=scheduler,
+    )
+
+
+def run_gossip(net, rounds, seed, scheduler):
+    return run_program(
+        net,
+        PushPullGossip,
+        seed=seed,
+        fixed_rounds=rounds,
+        max_rounds=rounds + 1,
+        scheduler=scheduler,
+    )
+
+
 class TestSimulatePathsEquivalence:
+    """The per-node programs behind the simulate paths — the runtime
+    flood, the direct runner and push–pull gossip — on both schedulers.
+    The scheduler is a ``run_program`` knob only: every simulation entry
+    point runs its reference fallback under the active default."""
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_flood_runtime_engine(self, family, seed):
+    def test_flood_runtime_engine(self, family, seed, dense_spy):
         net = FAMILIES[family]()
-        reports = {}
-        for scheduler in ("dense", "active"):
-            reports[scheduler] = t_local_broadcast(
-                net,
-                payload_of=lambda v: ("ball", v),
-                radius=3,
-                seed=seed,
-                engine="runtime",
-                scheduler=scheduler,
-            )
-        dense, active = reports["dense"], reports["active"]
-        assert dense.collected == active.collected
+        dense = run_flood(net, 3, seed, "dense")
+        assert len(dense_spy) == 1
+        active = run_flood(net, 3, seed, "active")
+        assert len(dense_spy) == 1
+        assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
         assert dense.messages.per_round == active.messages.per_round
         assert dense.messages.by_tag == active.messages.by_tag
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_direct_runner(self, er_small, seed):
+    def test_direct_runner(self, er_small, seed, dense_spy):
         algo = MinIdAggregation(2)
-        dense = run_direct(er_small, algo, seed=seed, scheduler="dense")
-        active = run_direct(er_small, algo, seed=seed, scheduler="active")
+        dense = run_algorithm(er_small, algo, seed, "dense")
+        active = run_algorithm(er_small, algo, seed, "active")
+        assert len(dense_spy) == 1
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
         assert dense.messages.per_round == active.messages.per_round
 
-    def test_direct_runner_with_isolated_nodes(self):
+    def test_direct_runner_with_isolated_nodes(self, dense_spy):
         # 0-1 edge plus isolated nodes 2, 3: the degree-0 fast path must
         # not change rounds, outputs, or metering on either scheduler.
         net = Network.from_edge_pairs(4, [(0, 1)])
         algo = MinIdAggregation(2)
-        dense = run_direct(net, algo, seed=1, scheduler="dense")
-        active = run_direct(net, algo, seed=1, scheduler="active")
+        dense = run_algorithm(net, algo, 1, "dense")
+        active = run_algorithm(net, algo, 1, "active")
+        assert len(dense_spy) == 1
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds == algo.rounds(net.n)
         assert dense.messages.total == active.messages.total
 
-    def test_direct_runner_on_edgeless_network(self):
+    def test_direct_runner_on_edgeless_network(self, dense_spy):
         # All nodes isolated: precomputed nodes must still halt at round
         # t on BOTH schedulers (the dense one steps them every round).
         net = Network.from_edge_pairs(3, [])
         algo = BallCollect(4)
-        dense = run_direct(net, algo, seed=1, scheduler="dense")
-        active = run_direct(net, algo, seed=1, scheduler="active")
+        dense = run_algorithm(net, algo, 1, "dense")
+        active = run_algorithm(net, algo, 1, "active")
+        assert len(dense_spy) == 1
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds == algo.rounds(net.n)
         assert dense.messages.per_round == active.messages.per_round
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_push_pull_gossip(self, er_small, seed):
-        dense = run_push_pull(er_small, rounds=6, t=2, seed=seed, scheduler="dense")
-        active = run_push_pull(er_small, rounds=6, t=2, seed=seed, scheduler="active")
-        assert dense.coverage == active.coverage
+    def test_push_pull_gossip(self, er_small, seed, dense_spy):
+        dense = run_gossip(er_small, 6, seed, "dense")
+        active = run_gossip(er_small, 6, seed, "active")
+        assert len(dense_spy) == 1
+        assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
         assert dense.messages.per_round == active.messages.per_round
 
-    def test_one_and_two_stage_schemes(self):
-        net = erdos_renyi(80, 0.15, seed=13)
-        params = SamplerParams(k=1, h=2, seed=7, c_query=0.7, c_target=1.0)
-        payload = BallCollect(2)
-        one_d = run_one_stage(net, payload, params=params, seed=5, scheduler="dense")
-        one_a = run_one_stage(net, payload, params=params, seed=5, scheduler="active")
-        assert one_d.outputs == one_a.outputs
-        assert one_d.total_messages == one_a.total_messages
-        assert one_d.total_rounds == one_a.total_rounds
-        two_d = run_two_stage(
-            net, payload, stage1_params=params, stage2_k=3, seed=5, scheduler="dense"
-        )
-        two_a = run_two_stage(
-            net, payload, stage1_params=params, stage2_k=3, seed=5, scheduler="active"
-        )
-        assert two_d.outputs == two_a.outputs
-        assert two_d.total_messages == two_a.total_messages
-        assert two_d.stage2_edges == two_a.stage2_edges
+    def test_direct_runner_matches_both_schedulers(self, er_small):
+        algo = MinIdAggregation(2)
+        for rounds in ROUND_ENGINES:
+            engines = replace(Engines.from_env(), rounds=rounds)
+            direct = run_direct(er_small, algo, seed=4, engines=engines)
+            for scheduler in ("dense", "active"):
+                report = run_algorithm(er_small, algo, 4, scheduler)
+                assert direct.outputs == report.outputs
+                assert direct.messages.per_round == report.messages.per_round
 
     def test_runtime_engine_matches_fast_engine_under_active(self):
         net = erdos_renyi(70, 0.12, seed=3)
-        fast = t_local_broadcast(net, lambda v: v, radius=3, engine="fast")
-        runtime = t_local_broadcast(
-            net, lambda v: v, radius=3, engine="runtime", scheduler="active"
-        )
+        env = Engines.from_env()
+        runtime_engines = replace(env, simulation="runtime", rounds="reference")
+        fast = t_local_broadcast(net, lambda v: v, radius=3, engines=env)
+        runtime = t_local_broadcast(net, lambda v: v, radius=3, engines=runtime_engines)
         assert fast.collected == runtime.collected
         assert fast.messages.total == runtime.messages.total
         assert fast.messages.per_round == runtime.messages.per_round

@@ -8,6 +8,7 @@ visible.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import os
 
 import pytest
@@ -22,6 +23,7 @@ from repro.algorithms import (
 )
 from repro.core import SamplerParams
 from repro.dynamic import ChurnPlan, apply_churn
+from repro.engines import Engines
 from repro.graphs import erdos_renyi, torus
 from repro.local.faults import FaultPlan
 from repro.service import SimulationRequest, SimulationService
@@ -31,6 +33,10 @@ from repro.simulate.tlocal import flood_schedule
 from repro.store import ArtifactStore
 
 PARAMS = SamplerParams(k=1, h=2, seed=13)
+# Fields a test does not pin follow the process env, so the oracle-engines
+# CI job still drives them through the reference planes.
+ENV = Engines.from_env()
+RUNTIME = replace(ENV, simulation="runtime")
 
 
 @pytest.fixture
@@ -68,15 +74,17 @@ class TestServedEqualsRunOneStage:
 
     def test_runtime_engine_served_exactly(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
-        request = SimulationRequest(algo=BallCollect(2), engine="runtime")
+        request = SimulationRequest(algo=BallCollect(2), engines=RUNTIME)
         response = service.submit(request)
-        fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5, engine="runtime")
+        fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5, engines=RUNTIME)
         assert response.report == fresh
         assert response.schedule_info is None  # no schedule cache involved
 
     def test_reference_distance_engine_served_exactly(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
-        request = SimulationRequest(algo=BallCollect(2), distance_engine="reference")
+        request = SimulationRequest(
+            algo=BallCollect(2), engines=replace(ENV, distance="reference")
+        )
         response = service.submit(request)
         fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5)
         assert response.outputs == fresh.outputs
@@ -109,7 +117,7 @@ class TestRequestValidation:
         service = SimulationService(net, params=PARAMS, seed=5)
         plan = FaultPlan(drop_probability=0.2, seed=4)
         response = service.submit(
-            SimulationRequest(algo=BallCollect(1), engine="runtime", faults=plan)
+            SimulationRequest(algo=BallCollect(1), engines=RUNTIME, faults=plan)
         )
         spanner = response.spanner
         direct = simulate_over_spanner(
@@ -118,7 +126,7 @@ class TestRequestValidation:
             alpha=spanner.stretch_bound,
             algo=BallCollect(1),
             seed=5,
-            engine="runtime",
+            engines=RUNTIME,
             faults=plan,
         )
         assert response.simulation == direct
@@ -146,6 +154,20 @@ class TestBatchServing:
         assert responses[2] is not responses[0]  # new instance: replayed
         assert responses[2].report == responses[0].report
         assert service.metrics.requests == 3  # accounting counts traffic
+
+    def test_default_and_resolved_engines_share_one_replay(self, net):
+        service = SimulationService(net, params=PARAMS, seed=5)
+        shared = BallCollect(2)
+        responses = service.serve(
+            [
+                SimulationRequest(algo=shared),
+                SimulationRequest(algo=shared, engines=Engines.from_env()),
+                SimulationRequest(algo=shared, engines=RUNTIME),
+            ]
+        )
+        assert responses[0] is responses[1]  # one execution, one token
+        assert responses[2] is not responses[0]  # another engine: replayed
+        assert responses[2].report == responses[0].report
 
     def test_deduplicated_cold_response_is_not_double_paid(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
