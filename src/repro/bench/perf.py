@@ -22,8 +22,8 @@ has a trajectory to beat:
   compare only those kernels);
 * ``--perf --repeats N``  override every kernel's best-of count;
 * ``--perf --memory-budget MB``  exit non-zero when any kernel's
-  recorded ``peak_rss_mb`` (process high-water mark, parallel-build
-  workers included) exceeds the budget;
+  recorded ``peak_rss_mb`` (process high-water mark, child processes
+  included) exceeds the budget;
 * ``--perf --jobs N``   time independent kernels in ``N`` worker
   processes (each kernel is seed-deterministic, so results merge
   order-independently; wall-clock timings share the machine, so prefer
@@ -150,13 +150,7 @@ def _gnp_array(n: int) -> Network:
 
 def _spanner(net: Network) -> object:
     """The default build: the columnar level engine in-process."""
-    return build_spanner(net, _SPANNER_PARAMS, jobs=1)
-
-
-def _spanner_par(net: Network) -> object:
-    """The shard-parallel build (DESIGN.md §3.11) at two workers —
-    bit-identical SpannerResult to ``_spanner`` on the same input."""
-    return build_spanner(net, _SPANNER_PARAMS, jobs=2)
+    return build_spanner(net, _SPANNER_PARAMS)
 
 
 def _spanner_reference(net: Network) -> object:
@@ -442,11 +436,6 @@ def _baseline_label(name: str) -> str:
         return "cold"
     if name.startswith("runtime_vec/"):
         return "reference"
-    if name.startswith(("spanner_par/", "spanner/")):
-        # the parallel-build kernels re-run the same input at jobs=1,
-        # the columnar engine in-process (note: "spanner/" does not
-        # prefix-match "spanner_dist/")
-        return "jobs=1"
     if name.startswith("obs/"):
         # obs/overhead measures the telemetry-off build and baselines
         # the same build with spans collecting: speedup == on-cost
@@ -480,32 +469,15 @@ def default_kernels() -> list[Kernel]:
     their cold-store baselines, and the vector round engine against
     its reference interpreter on flood/gossip/algorithm bodies."""
     kernels: list[Kernel] = []
-    # Scale kernels (DESIGN.md §3.11): the shard-parallel centralized
-    # build against the same columnar engine run in-process at jobs=1
-    # on the same input — bit-identical SpannerResults, so the recorded
-    # ``speedup`` is pure process parallelism.  They run FIRST in the
-    # suite and, within each kernel, the measured body before the
-    # jobs=1 baseline: fork(2) workers inherit the parent heap
-    # copy-on-write, so a parent bloated by earlier kernels taxes every
-    # worker page-touch and understates the speedup by ~15-20%.
-    # n=10^5 is the tentpole scale target and runs best-of-1: the body
-    # is seconds-long and the baseline doubles the bill.
-    kernels.append(
-        Kernel(
-            "spanner_par/gnp/n20000",
-            lambda: _gnp_array(20000),
-            _spanner_par,
-            repeats=2,
-            baseline=_spanner,
-        )
-    )
+    # The scale record (DESIGN.md §3.11): the 10^5-node build, best-of-1
+    # since the body is seconds-long.  It runs first, so its
+    # ``peak_rss_mb`` (a process high-water mark) is its own footprint.
     kernels.append(
         Kernel(
             "spanner/gnp/n100000",
             lambda: _gnp_array(100000),
-            _spanner_par,
+            _spanner,
             repeats=1,
-            baseline=_spanner,
         )
     )
     for n in (500, 1000, 2000):
@@ -1103,14 +1075,10 @@ def render_readme_section(doc: dict) -> str:
         "registered LOCAL algorithm; their reference baseline re-runs "
         "the identical body on the per-node interpreter "
         "(`Engines(rounds=\"reference\")`, identical `RunReport`s, "
-        "DESIGN.md §3.10).  `spanner_par/*` and `spanner/gnp/n100000` "
-        "time the shard-parallel centralized build (`jobs=2`, "
-        "DESIGN.md §3.11); their baseline re-runs the identical input "
-        "at `jobs=1`, the same columnar engine in-process — "
-        "bit-identical `SpannerResult`s, so the speedup is pure process "
-        "parallelism.  Every entry also records "
-        "`peak_rss_mb` (process high-water RSS including build "
-        "workers); gate it with `--memory-budget MB`."
+        "DESIGN.md §3.10).  `spanner/gnp/n100000` is the scale record: "
+        "one in-process build at 10^5 nodes (DESIGN.md §3.11).  Every "
+        "entry also records `peak_rss_mb` (process high-water RSS); "
+        "gate it with `--memory-budget MB`."
     )
     lines.append("")
     lines.append(

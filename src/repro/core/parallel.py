@@ -1,31 +1,17 @@
-"""The columnar level engine of ``Sampler`` (DESIGN.md §3.2, §3.11).
+"""The columnar level engine of ``Sampler`` (DESIGN.md §3.2).
 
 Inside one level of ``Sampler`` every active cluster's trial machine is
 independent: per-``(purpose, level, cluster)`` RNG streams
 (:class:`~repro.rng.RngFactory`) make the outcome of each cluster a pure
 function of ``(graph, params, level state)``, regardless of execution
-order.  This module exploits that:
-
-* A level is one *shard function* over array views of the graph — the
-  :class:`Network` endpoint and incidence CSR arrays — plus a per-level
-  block: cluster assignment ``root_of``, active flags, and a
-  members-by-cluster index.  For a contiguous ascending range of the
-  active cluster ids it derives each cluster's unexplored pool ``X_v``
-  (the cut edges incident to the cluster, minus finish announcements),
-  executes the level's trials, and returns columnar partials: pools,
-  ``F`` edges, per-cluster trace columns, center coins, and
-  active/stale edge counts.
-* :class:`LevelEngine` (``jobs=1``) runs the shard function in-process,
-  as one shard over plain numpy views of the network's arrays — no
-  process pool, no shared memory.
-* :class:`ParallelBuildEngine` (``jobs>1``) copies the same arrays into
-  one :mod:`multiprocessing.shared_memory` segment at build start
-  (zero-copy for every worker), rewrites the per-level block at each
-  level boundary, and runs one shard per worker of a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Shards are
-  ascending-``cid`` ranges and every per-cluster output is keyed by
-  ``cid``, so the reduce is plain concatenation in shard order —
-  ``jobs=2`` and ``jobs=8`` produce the same :class:`LevelPartial`.
+order.  This module exploits that: a level is one pass over array views
+of the graph — the :class:`Network` endpoint and incidence CSR arrays —
+plus a per-level block: cluster assignment ``root_of``, active flags,
+and a members-by-cluster index.  For every active cluster at once it
+derives the unexplored pool ``X_v`` (the cut edges incident to the
+cluster, minus finish announcements), executes the level's trials, and
+returns one columnar :class:`LevelPartial`: pools, ``F`` edges,
+per-cluster trace columns, center coins, and active/stale edge counts.
 
 The fast path vectorizes the *exhaustive* trial (pool no larger than the
 query budget — the overwhelmingly common case under the repo's budget
@@ -44,12 +30,8 @@ tests/test_parallel_build.py.
 
 from __future__ import annotations
 
-import os
 import random
-import weakref
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -59,64 +41,10 @@ from repro import obs
 from repro.core.params import SamplerParams
 from repro.core.trace import NodeLevelTrace
 from repro.core.trials import NodeLabel, TrialMachine, TrialStats
-from repro.errors import SimulationError
 from repro.local.network import Network
 from repro.rng import RngFactory
 
-__all__ = ["IdObjects", "LevelEngine", "ParallelBuildEngine", "LevelPartial"]
-
-# Names of shared-memory segments this process created and has not yet
-# unlinked — the leak detector used by the worker-crash tests.
-_LIVE_SEGMENTS: set[str] = set()
-
-# Test hook: when set in the environment, every shard task of a worker
-# pool dies before doing any work, simulating a hard worker crash
-# mid-level.  In-process shards ignore it.
-_CRASH_ENV = "REPRO_PARALLEL_CRASH_SHARD"
-
-
-# ----------------------------------------------------------------------
-# array layout
-# ----------------------------------------------------------------------
-def _layout(n: int, m: int, identity: bool) -> tuple[dict, int]:
-    """``{field: (byte offset, element count, dtype)}`` plus total bytes
-    of the shared-memory segment.
-
-    Static fields (written once per build): the CSR endpoint arrays,
-    incidence index, and — only when edge ids are non-consecutive — the
-    sorted edge-id array the shard binary-searches for row lookup.
-    Dynamic fields (rewritten per level): cluster assignment, active
-    flags, the stable members-by-cluster permutation with its sorted key
-    array, and the sorted active cluster ids.
-    """
-    fields: dict[str, tuple[int, int, object]] = {}
-    offset = 0
-
-    def add(name: str, count: int, dtype) -> None:
-        nonlocal offset
-        fields[name] = (offset, count, dtype)
-        offset += count * np.dtype(dtype).itemsize
-
-    add("ep_u", m, np.int64)
-    add("ep_v", m, np.int64)
-    add("indptr", n + 1, np.int64)
-    add("inc", 2 * m, np.int64)
-    add("eids", 0 if identity else m, np.int64)
-    add("root", n, np.int64)
-    add("member_order", n, np.int64)
-    add("roots_sorted", n, np.int64)
-    add("active_sorted", n, np.int64)
-    add("aflags", n, np.uint8)
-    return fields, max(offset, 1)
-
-
-def _views(buf, fields: dict, writeable: bool) -> dict[str, np.ndarray]:
-    views: dict[str, np.ndarray] = {}
-    for name, (offset, count, dtype) in fields.items():
-        view = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-        view.flags.writeable = writeable
-        views[name] = view
-    return views
+__all__ = ["IdObjects", "LevelEngine", "LevelPartial"]
 
 
 def _static_arrays(network: Network) -> dict[str, np.ndarray]:
@@ -132,7 +60,7 @@ def _static_arrays(network: Network) -> dict[str, np.ndarray]:
     }
     if eid_row is not None:
         # Rows are sorted by eid, so the edge-id array itself is the
-        # sorted key the shard binary-searches.
+        # sorted key a level binary-searches.
         arrays["eids"] = np.asarray(network.edge_ids, dtype=np.int64)
     return arrays
 
@@ -140,7 +68,9 @@ def _static_arrays(network: Network) -> dict[str, np.ndarray]:
 def _level_block(
     root_of: list[int], active_sorted: list[int]
 ) -> dict[str, np.ndarray]:
-    """The dynamic fields of one level (see :func:`_layout`)."""
+    """The per-level fields: cluster assignment, the stable
+    members-by-cluster permutation with its sorted key array, the sorted
+    active cluster ids and their flags."""
     root = np.asarray(root_of, dtype=np.int64)
     member_order = np.argsort(root, kind="stable")
     active = np.asarray(active_sorted, dtype=np.int64)
@@ -193,103 +123,8 @@ class IdObjects:
         return [table[row] for row in values.tolist()]
 
 
-class _PlainIds:
-    """A pool worker's stand-in for :class:`IdObjects`: shared objects
-    do not survive pickling, so workers skip the O(n + m) tables."""
-
-    @staticmethod
-    def nodes(values: np.ndarray) -> list[int]:
-        return values.tolist()
-
-    eids = nodes
-
-
-class _ShardContext:
-    """Everything the shard function reads besides its level arguments."""
-
-    __slots__ = ("views", "params", "n", "m", "identity", "ids", "rngf", "shm")
-
-    def __init__(self, views, params, n, m, identity, ids, shm=None) -> None:
-        self.views = views
-        self.params = params
-        self.n = n
-        self.m = m
-        self.identity = identity
-        self.ids = ids
-        self.rngf = RngFactory(params.seed)
-        self.shm = shm  # keeps a worker's mapping alive for the views
-
-
 # ----------------------------------------------------------------------
-# pool-worker side
-# ----------------------------------------------------------------------
-_WORKER: _ShardContext | None = None
-
-
-def _attach_worker(shm_name: str, n: int, m: int, identity: bool, params) -> None:
-    """Pool initializer: map the segment read-only, build array views."""
-    global _WORKER
-    import atexit
-    from multiprocessing import resource_tracker, shared_memory
-
-    # Attaching would register the segment with the resource tracker as
-    # if this process owned it; the parent is the sole owner/unlinker,
-    # so suppress registration (the 3.13 ``track=False`` knob,
-    # hand-rolled for 3.10-3.12 — bpo-39959).
-    original_register = resource_tracker.register
-    try:
-        resource_tracker.register = (
-            lambda name, rtype: None
-            if rtype == "shared_memory"
-            else original_register(name, rtype)
-        )
-        shm = shared_memory.SharedMemory(name=shm_name)
-    finally:
-        resource_tracker.register = original_register
-    fields, _ = _layout(n, m, identity)
-    views = _views(shm.buf, fields, writeable=False)
-    _WORKER = _ShardContext(views, params, n, m, identity, _PlainIds(), shm)
-    atexit.register(_detach_worker)
-
-
-def _detach_worker() -> None:
-    """Drop the views (buffer exports) so the mapping closes cleanly."""
-    global _WORKER
-    state, _WORKER = _WORKER, None
-    if state is None:
-        return
-    state.views.clear()
-    try:
-        state.shm.close()
-    except Exception:
-        pass
-
-
-def _run_shard(j: int, lo: int, hi: int, pairs: tuple | None) -> dict:
-    """Pool task: one shard of level ``j`` against the worker's views.
-
-    When the obs plane is on, the shard's span tree (a ``build/shard``
-    root tagged with the worker pid) rides back to the parent as a
-    ``"spans"`` columnar partial, drained from this worker's collector
-    so persistent workers never accumulate state across levels.
-    """
-    if os.environ.get(_CRASH_ENV):
-        os._exit(13)
-    if not obs.enabled():
-        return _run_shard_impl(_WORKER, j, lo, hi, pairs)
-    # Forked workers inherit the parent collector's finished records;
-    # shipping those back would make the parent re-adopt its own
-    # history (duplicating it per shard, compounding per build).  Only
-    # records produced by THIS task may ride back, so clear first.
-    # (Never in-process: there the records are the parent's own.)
-    obs.collector().drain_records()
-    out = _traced_shard(_WORKER, j, lo, hi, pairs)
-    out["spans"] = obs.collector().drain_records()
-    return out
-
-
-# ----------------------------------------------------------------------
-# the shard function
+# one level
 # ----------------------------------------------------------------------
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices of ``[s, s+c)`` for every ``(s, c)`` pair, concatenated."""
@@ -302,40 +137,54 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + pos
 
 
-def _traced_shard(
-    ctx: _ShardContext, j: int, lo: int, hi: int, pairs: tuple | None
-) -> dict:
-    with obs.span(
-        "build/shard", level=int(j), lo=int(lo), hi=int(hi)
-    ) as shard_span:
-        out = _run_shard_impl(ctx, j, lo, hi, pairs)
-        shard_span.set(clusters=int(hi - lo))
-    return out
+def _announcements(
+    active: np.ndarray,
+    dead_pairs: dict[int, set[int]],
+    payloads: dict[int, np.ndarray],
+) -> tuple | None:
+    """The factored finish announcements whose receiver is active, as
+    ``(receivers, finishers, {finisher: payload})``, or ``None``."""
+    recv: list[int] = []
+    fin: list[int] = []
+    for cid, finishers in dead_pairs.items():
+        recv.extend([cid] * len(finishers))
+        fin.extend(finishers)
+    if not recv or not len(active):
+        return None
+    recv_a = np.asarray(recv, dtype=np.int64)
+    fin_a = np.asarray(fin, dtype=np.int64)
+    pos = np.searchsorted(active, recv_a)
+    live = pos < len(active)
+    live[live] = active[pos[live]] == recv_a[live]
+    if not live.any():
+        return None
+    f = fin_a[live]
+    return (
+        recv_a[live],
+        f,
+        {fid: payloads[fid] for fid in np.unique(f).tolist()},
+    )
 
 
-def _run_shard_impl(
-    ctx: _ShardContext, j: int, lo: int, hi: int, pairs: tuple | None
-) -> dict:
-    """Run clusters ``active_sorted[lo:hi]`` of level ``j``; return
-    partials keyed by ascending cluster id.
+def _run_level(engine: LevelEngine, j: int, pairs: tuple | None) -> LevelPartial:
+    """Run every active cluster of level ``j``; return its columns keyed
+    by ascending cluster id.
 
-    ``pairs`` is ``(receivers, finishers, {finisher: payload})``: the
-    factored finish announcements whose receiver lies in this shard
-    (see :meth:`LevelEngine.submit_level`), or ``None``.
+    ``pairs`` is the output of :func:`_announcements`.
     """
-    views = ctx.views
-    params = ctx.params
-    n = ctx.n
-    cids = views["active_sorted"][lo:hi]
+    views = engine.views
+    params = engine.params
+    n = engine.n
+    cids = views["active_sorted"]
     A = len(cids)
     target_j = params.target(j, n)
     budget_j = params.queries_per_trial(j, n)
     # Edge ids lie in [0, span); combined int64 sort and membership
     # keys fall back to slower forms when they could overflow.
-    if not ctx.m:
+    if not engine.m:
         span = 1
     else:
-        span = ctx.m if ctx.identity else int(views["eids"][-1]) + 1
+        span = engine.m if engine.identity else int(views["eids"][-1]) + 1
     wide = n * n * span >= 2**62
 
     # --- pools: cut edges per cluster, minus finish announcements ----
@@ -351,7 +200,7 @@ def _run_shard_impl(
     ecnt = indptr[members + 1] - estarts
     E = views["inc"][_concat_ranges(estarts, ecnt)]
     C = np.repeat(np.repeat(cids, mcnt), ecnt)
-    rows = E if ctx.identity else np.searchsorted(views["eids"], E)
+    rows = E if engine.identity else np.searchsorted(views["eids"], E)
     root = views["root"]
     ru = root[views["ep_u"][rows]]
     other = root[views["ep_v"][rows]]
@@ -449,7 +298,7 @@ def _run_shard_impl(
         gid = np.empty(N, dtype=np.int64)
         gid[go] = np.cumsum(first) - 1
         fallback, fa, fi = _run_fallback_machines(
-            ctx,
+            engine,
             j,
             fb_idx,
             cids,
@@ -475,7 +324,7 @@ def _run_shard_impl(
     # --- center coins (deterministic replay of the parent's stream) --
     centers = np.empty(0, dtype=np.int64)
     if j < params.k:
-        pref = ctx.rngf.prefix("center", j)
+        pref = engine.rngf.prefix("center", j)
         p_j = params.center_probability(j, n)
         uniform = pref.uniform
         centers = np.asarray(
@@ -483,22 +332,22 @@ def _run_shard_impl(
             dtype=np.int64,
         )
 
-    return {
-        "cids": np.ascontiguousarray(cids),
-        "live": np.ascontiguousarray(live),
-        "live_off": live_off,
-        "fa_o": np.ascontiguousarray(fa_o),
-        "fa_e": np.ascontiguousarray(fa_e),
-        "fa_cnt": np.bincount(fa_i, minlength=A).astype(np.int64),
-        "fi_o": np.ascontiguousarray(fi_o),
-        "fi_e": np.ascontiguousarray(fi_e),
-        "fi_cnt": np.bincount(fi_i, minlength=A).astype(np.int64),
-        "deg": deg,
-        "active_edges": n_active,
-        "stale_edges": N - n_active,
-        "centers": centers,
-        "fallback": fallback,
-    }
+    return LevelPartial(
+        cids=cids,
+        live=live,
+        live_off=live_off,
+        fa_o=fa_o,
+        fa_e=fa_e,
+        fa_cnt=np.bincount(fa_i, minlength=A).astype(np.int64),
+        fi_o=fi_o,
+        fi_e=fi_e,
+        fi_cnt=np.bincount(fi_i, minlength=A).astype(np.int64),
+        deg=deg,
+        active_edges=n_active,
+        stale_edges=N - n_active,
+        centers=centers,
+        fallback=fallback,
+    )
 
 
 def _splice(idx, o, e, is_fb, machine_rows):
@@ -514,7 +363,7 @@ def _splice(idx, o, e, is_fb, machine_rows):
 
 
 def _run_fallback_machines(
-    ctx,
+    engine,
     j,
     fb_idx,
     cids,
@@ -545,10 +394,10 @@ def _run_fallback_machines(
     Returns the machines' traces and their ``F`` rows, active and
     inactive, as ``(cluster index, neighbor, eid)`` column lists.
     """
-    params = ctx.params
-    n = ctx.n
-    ids = ctx.ids
-    trial_prefix = ctx.rngf.prefix("trials", j)
+    params = engine.params
+    n = engine.n
+    ids = engine.ids
+    trial_prefix = engine.rngf.prefix("trials", j)
     shared_rng = random.Random()
     fallback: dict[int, NodeLevelTrace] = {}
     fa = ([], [], [])
@@ -599,16 +448,12 @@ def _run_fallback_machines(
 
 
 # ----------------------------------------------------------------------
-# parent side
+# the level's outcome and the engine
 # ----------------------------------------------------------------------
 @dataclass
 class LevelPartial:
-    """The deterministic reduce of one level's shard outputs.
-
-    Columnar, keyed by ascending cluster id throughout; identical for
-    every shard count because shards are contiguous ``cid`` ranges and
-    each column is concatenated in shard order.
-    """
+    """The outcome of one level, columnar and keyed by ascending
+    cluster id throughout."""
 
     cids: np.ndarray
     live: np.ndarray
@@ -744,104 +589,28 @@ class LevelPartial:
         )
 
 
-def _reduce(parts: list[dict]) -> LevelPartial:
-    """Concatenate shard partials in shard order (ascending cid)."""
-
-    def cat(key: str) -> np.ndarray:
-        arrays = [part[key] for part in parts]
-        if not arrays:
-            return np.empty(0, dtype=np.int64)
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    live_off = np.zeros(
-        sum(len(part["cids"]) for part in parts) + 1, dtype=np.int64
-    )
-    cursor = 0
-    base = 0
-    for part in parts:
-        offs = part["live_off"]
-        count = len(offs) - 1
-        live_off[cursor + 1 : cursor + 1 + count] = offs[1:] + base
-        base += int(offs[-1])
-        cursor += count
-    fallback: dict[int, NodeLevelTrace] = {}
-    for part in parts:
-        fallback.update(part["fallback"])
-    return LevelPartial(
-        cids=cat("cids"),
-        live=cat("live"),
-        live_off=live_off,
-        fa_o=cat("fa_o"),
-        fa_e=cat("fa_e"),
-        fa_cnt=cat("fa_cnt"),
-        fi_o=cat("fi_o"),
-        fi_e=cat("fi_e"),
-        fi_cnt=cat("fi_cnt"),
-        deg=cat("deg"),
-        active_edges=sum(part["active_edges"] for part in parts),
-        stale_edges=sum(part["stale_edges"] for part in parts),
-        centers=cat("centers"),
-        fallback=fallback,
-    )
-
-
-def _pairs_by_shard(
-    shards: list[tuple[int, int]],
-    active: np.ndarray,
-    dead_pairs: dict[int, set[int]],
-    payloads: dict[int, np.ndarray],
-) -> dict[int, tuple]:
-    """Split the factored announcements by their receiver's shard:
-    ``{shard: (receivers, finishers, {finisher: payload})}``."""
-    recv: list[int] = []
-    fin: list[int] = []
-    for cid, finishers in dead_pairs.items():
-        recv.extend([cid] * len(finishers))
-        fin.extend(finishers)
-    if not recv or not len(active):
-        return {}
-    recv_a = np.asarray(recv, dtype=np.int64)
-    fin_a = np.asarray(fin, dtype=np.int64)
-    pos = np.searchsorted(active, recv_a)
-    live = pos < len(active)
-    live[live] = active[pos[live]] == recv_a[live]
-    his = np.asarray([hi for _lo, hi in shards], dtype=np.int64)
-    shard_of = np.searchsorted(his, pos, side="right")
-    out: dict[int, tuple] = {}
-    for i in np.unique(shard_of[live]).tolist():
-        sel = live & (shard_of == i)
-        f = fin_a[sel]
-        out[i] = (
-            recv_a[sel],
-            f,
-            {fid: payloads[fid] for fid in np.unique(f).tolist()},
-        )
-    return out
-
-
 class LevelEngine:
-    """The columnar level engine run in-process (``jobs=1``).
+    """The columnar level engine, one in-process pass per level.
 
-    Each level is one shard over plain numpy views of the network's
-    arrays: no process pool, no shared memory, nothing to release.
+    Holds zero-copy views of the network's arrays for the whole build;
     :class:`~repro.core.sampler.SamplerRun` creates one per build and
-    drives it with :meth:`submit_level` then :meth:`collect`.
+    calls :meth:`run_level` once per level.
     """
 
-    jobs = 1
+    __slots__ = ("views", "params", "n", "m", "identity", "ids", "rngf")
 
     def __init__(
         self, network: Network, params: SamplerParams, ids: IdObjects
     ) -> None:
-        arrays = _static_arrays(network)
-        self._ctx = _ShardContext(
-            arrays, params, network.n, network.m, "eids" not in arrays, ids
-        )
+        self.views = _static_arrays(network)
+        self.params = params
+        self.n = network.n
+        self.m = network.m
+        self.identity = "eids" not in self.views
+        self.ids = ids
+        self.rngf = RngFactory(params.seed)
 
-    def close(self) -> None:
-        """Release the engine's resources (none in-process)."""
-
-    def submit_level(
+    def run_level(
         self,
         j: int,
         *,
@@ -849,139 +618,17 @@ class LevelEngine:
         active_sorted: list[int],
         dead_pairs: dict[int, set[int]],
         payloads: dict[int, np.ndarray],
-    ) -> list:
-        """Publish level ``j``'s state and start its shards; returns the
-        pending shard outputs for :meth:`collect`.
+    ) -> LevelPartial:
+        """Run level ``j`` over every active cluster.
 
         ``dead_pairs``/``payloads`` are the finish announcements of
         earlier levels, factored: receiver -> announcing finishers,
-        finisher -> announced edge array.  The shard applies them by
+        finisher -> announced edge array.  The level applies them by
         membership without materializing the per-receiver unions.
         """
-        block = _level_block(root_of, active_sorted)
-        self._publish(block)
-        A = len(active_sorted)
-        shards = [
-            (int(chunk[0]), int(chunk[-1]) + 1)
-            for chunk in np.array_split(np.arange(A), self.jobs)
-            if len(chunk)
-        ]
-        pairs = _pairs_by_shard(
-            shards, block["active_sorted"], dead_pairs, payloads
-        )
-        return self._start(j, shards, pairs)
-
-    def collect(self, pending: list) -> LevelPartial:
-        """Await one :meth:`submit_level` batch and reduce it."""
-        return _reduce(self._await(pending))
-
-    # -- execution hooks (in-process: run now, nothing to await) -------
-    def _publish(self, block: dict[str, np.ndarray]) -> None:
-        self._ctx.views.update(block)
-
-    def _start(self, j: int, shards: list, pairs: dict) -> list:
-        return [
-            _traced_shard(self._ctx, j, lo, hi, pairs.get(i))
-            for i, (lo, hi) in enumerate(shards)
-        ]
-
-    def _await(self, pending: list) -> list[dict]:
-        return pending
-
-
-def _release(shm, executor, views: dict) -> None:
-    """Idempotent teardown shared by ``close()``, GC, and exit."""
-    if executor is not None:
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-    if shm is not None:
-        views.clear()  # drop the buffer exports or the mmap cannot close
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except Exception:
-            pass
-        _LIVE_SEGMENTS.discard(shm.name)
-
-
-class ParallelBuildEngine(LevelEngine):
-    """The columnar level engine across a process pool (``jobs > 1``).
-
-    Publishes the network's arrays into one shared-memory segment and
-    keeps a persistent worker pool for the whole build (the static CSR
-    block is written exactly once); each level rewrites the dynamic
-    block and runs one contiguous shard per worker.  Closed by the run,
-    with a :func:`weakref.finalize` backstop so a crashed or abandoned
-    run can never leak the segment.
-    """
-
-    def __init__(
-        self, network: Network, params: SamplerParams, ids: IdObjects, jobs: int
-    ) -> None:
-        from multiprocessing import shared_memory
-
-        if jobs < 2:
-            raise SimulationError("the parallel engine needs jobs >= 2")
-        super().__init__(network, params, ids)
-        self.jobs = jobs
-        n, m = network.n, network.m
-        identity = self._ctx.identity
-        fields, total = _layout(n, m, identity)
-        self._shm = shared_memory.SharedMemory(create=True, size=total)
-        _LIVE_SEGMENTS.add(self._shm.name)
-        self._views = _views(self._shm.buf, fields, writeable=True)
-        for name, array in self._ctx.views.items():
-            self._views[name][:] = array
-        self._pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_attach_worker,
-            initargs=(self._shm.name, n, m, identity, params),
-        )
-        self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _release, self._shm, self._pool, self._views
-        )
-
-    def close(self) -> None:
-        """Shut the pool down and unlink the segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer.detach()
-        _release(self._shm, self._pool, self._views)
-
-    def _publish(self, block: dict[str, np.ndarray]) -> None:
-        if self._closed:
-            raise SimulationError("parallel engine already closed")
-        for name, array in block.items():
-            self._views[name][: len(array)] = array
-
-    def _start(self, j: int, shards: list, pairs: dict) -> list:
-        return [
-            self._pool.submit(_run_shard, j, lo, hi, pairs.get(i))
-            for i, (lo, hi) in enumerate(shards)
-        ]
-
-    def _await(self, pending: list) -> list[dict]:
-        parts = []
-        try:
-            for future in pending:
-                parts.append(future.result())
-        except BrokenProcessPool as exc:
-            self.close()
-            raise SimulationError(
-                "parallel build worker crashed; shared-memory segment "
-                "released, rerun with jobs=1 to diagnose"
-            ) from exc
-        # Adopt worker span partials in shard order (deterministic) and
-        # strip them before the columnar reduce sees the dicts.
-        for part in parts:
-            spans = part.pop("spans", None)
-            if spans and obs.enabled():
-                obs.collector().adopt(spans)
-        return parts
+        self.views.update(_level_block(root_of, active_sorted))
+        pairs = _announcements(self.views["active_sorted"], dead_pairs, payloads)
+        with obs.span("build/shard", level=int(j)) as shard_span:
+            part = _run_level(self, j, pairs)
+            shard_span.set(clusters=len(active_sorted))
+        return part

@@ -23,12 +23,11 @@ Two level strategies produce bit-identical traces (the
 ``test_perf_contracts`` and ``test_parallel_build`` suites enforce
 this):
 
-* **columnar** (the default): each level is one call of the columnar
-  level engine (:mod:`repro.core.parallel`) — every pool derived at once
-  from array views of the graph, exhaustive trials as one vectorized
-  group-by, over-budget pools on a real ``TrialMachine``.  ``jobs=1``
-  runs the engine in-process; ``jobs>1`` shards it across worker
-  processes.  Finish announcements stay factored (receiver -> the
+* **columnar** (the default): each level is one in-process call of the
+  columnar level engine (:mod:`repro.core.parallel`) — every pool
+  derived at once from array views of the graph, exhaustive trials as
+  one vectorized group-by, over-budget pools on a real
+  ``TrialMachine``.  Finish announcements stay factored (receiver -> the
   finished clusters that announced to it; finisher -> its payload) and
   the engine applies them by membership.
 * **reference** (``incremental=False``): the seed implementation —
@@ -44,54 +43,30 @@ makes the centralized and distributed runs bit-identical.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import numpy as np
 
 from repro import obs
 from repro.core.forest import ClusterForest
-from repro.core.parallel import (
-    IdObjects,
-    LevelEngine,
-    ParallelBuildEngine,
-    _concat_ranges,
-)
+from repro.core.parallel import IdObjects, LevelEngine, _concat_ranges
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.trace import FinishedCluster, LevelTrace, NodeLevelTrace, SamplerTrace
 from repro.core.trials import QueryResult, TrialMachine
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.local.network import Network
 from repro.rng import RngFactory
 
-__all__ = ["build_spanner", "SamplerRun", "resolve_jobs"]
-
-JOBS_ENV = "REPRO_BUILD_JOBS"
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Resolve the ``jobs=`` knob: explicit value, else ``REPRO_BUILD_JOBS``,
-    else 1 (the columnar engine in-process, no worker processes)."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{JOBS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    return max(1, int(jobs))
+__all__ = ["build_spanner", "SamplerRun"]
 
 
 class SamplerRun:
     """One centralized execution; exposed for step-by-step inspection.
 
     ``incremental=True`` (the default) runs every level on the columnar
-    level engine with ``jobs`` workers; ``incremental=False`` runs the
-    seed recount, the oracle.
+    level engine; ``incremental=False`` runs the seed recount, the
+    oracle.
     """
 
     def __init__(
@@ -100,7 +75,6 @@ class SamplerRun:
         params: SamplerParams,
         *,
         incremental: bool = True,
-        jobs: int | None = None,
     ) -> None:
         self.network = network
         self.params = params
@@ -114,11 +88,9 @@ class SamplerRun:
         self._active: set[int] = set(self._ids.node_ids)
         self._finished: dict[int, FinishedCluster] = {}
         self._level_done = 0
-        self._incremental = incremental
-        # jobs > 1 shards the columnar engine across worker processes;
-        # the reference strategy is the oracle and always runs serial.
-        self._jobs = resolve_jobs(jobs)
-        self._engine: LevelEngine | None = None
+        self._engine = (
+            LevelEngine(network, params, self._ids) if incremental else None
+        )
         self._eid_row, self._ep_u, self._ep_v = network.endpoints_flat()
         # Reference strategy: announced edges per receiving phys node.
         self._phys_dead: dict[int, set[int]] = {}
@@ -136,29 +108,13 @@ class SamplerRun:
     # ------------------------------------------------------------------
     def run(self) -> SpannerResult:
         with obs.span(
-            "build/spanner",
-            n=self.network.n,
-            m=self.network.m,
-            jobs=self._jobs,
+            "build/spanner", n=self.network.n, m=self.network.m
         ) as build_span:
-            try:
-                for j in range(self.params.levels):
-                    self.run_level(j)
-            finally:
-                self.close()
+            for j in range(self.params.levels):
+                self.run_level(j)
             result = self.result()
             build_span.set(edges=len(result.edges))
         return result
-
-    def close(self) -> None:
-        """Release the level engine (a ``jobs>1`` pool + shared memory).
-
-        ``run()`` always calls this; step-by-step drivers should too
-        (the parallel engine's own finalizer is the backstop)."""
-        engine = self._engine
-        if engine is not None:
-            self._engine = None
-            engine.close()
 
     def result(self) -> SpannerResult:
         return SpannerResult(
@@ -176,7 +132,7 @@ class SamplerRun:
             raise SimulationError(f"levels must run in order; expected {self._level_done}")
         level = (
             self._run_level_columnar
-            if self._incremental
+            if self._engine is not None
             else self._run_level_reference
         )
         if not obs.enabled():
@@ -195,30 +151,17 @@ class SamplerRun:
         """One invocation of ``Cluster_j`` on the columnar level engine.
 
         The trial population comes back as one columnar
-        :class:`~repro.core.parallel.LevelPartial` whose reduce order is
-        independent of the shard count.
+        :class:`~repro.core.parallel.LevelPartial`.
         """
-        if self._engine is None:
-            self._engine = (
-                LevelEngine(self.network, self.params, self._ids)
-                if self._jobs == 1
-                else ParallelBuildEngine(
-                    self.network, self.params, self._ids, self._jobs
-                )
-            )
         active_sorted = sorted(self._active)
-        pending = self._engine.submit_level(
+        part = self._engine.run_level(
             j,
             root_of=self.forest.root_of,
             active_sorted=active_sorted,
             dead_pairs=self._dead_pairs,
             payloads=self._payloads,
         )
-        # At jobs > 1 this bookkeeping overlaps worker execution: both
-        # read the same pre-level forest state (the workers from their
-        # shared-memory copy).
         sizes, heights = self._sizes_and_heights(active_sorted)
-        part = self._engine.collect(pending)
 
         ids = self._ids
         nodes = part.node_traces(j, self.params, ids)
@@ -571,15 +514,11 @@ def build_spanner(
     params: SamplerParams,
     *,
     incremental: bool = True,
-    jobs: int | None = None,
 ) -> SpannerResult:
     """Run centralized ``Sampler`` and return the spanner with its trace.
 
-    The default runs the columnar level engine; ``jobs`` (default:
-    ``REPRO_BUILD_JOBS``, else 1) is its worker count — 1 runs it
-    in-process, more shard each level across that many worker processes
-    over a shared-memory view of the graph, with bit-identical results
-    (DESIGN.md §3.11).  ``incremental=False`` selects the seed recount,
-    the oracle; it ignores ``jobs`` and always runs serial.
+    The default runs the columnar level engine in-process;
+    ``incremental=False`` selects the seed recount, the oracle, with a
+    bit-identical result (DESIGN.md §3.2).
     """
-    return SamplerRun(network, params, incremental=incremental, jobs=jobs).run()
+    return SamplerRun(network, params, incremental=incremental).run()

@@ -36,8 +36,6 @@ def repair_spanner(
     parent: SpannerResult,
     network: Network,
     logs: MutationLog | Sequence[MutationLog],
-    *,
-    jobs: int | None = None,
 ) -> SpannerResult:
     """Repair ``parent``'s spanner onto the post-churn ``network``.
 
@@ -49,9 +47,6 @@ def repair_spanner(
     ``provenance`` extended by the parent graph's fingerprint, and
     ``messages``/``rounds`` of ``None`` (repair is centralized work; it
     meters no distributed messages).
-
-    ``jobs`` is :func:`~repro.core.sampler.build_spanner`'s worker count
-    (default ``REPRO_BUILD_JOBS``, else 1: in-process).
     """
     chain = (logs,) if isinstance(logs, MutationLog) else tuple(logs)
     if not chain:
@@ -70,6 +65,6 @@ def repair_spanner(
             f"network is {network.fingerprint()[:12]}…"
         )
     return replace(
-        build_spanner(network, parent.params, jobs=jobs),
+        build_spanner(network, parent.params),
         provenance=parent.provenance + (parent.network.fingerprint(),),
     )

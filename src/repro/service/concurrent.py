@@ -168,7 +168,6 @@ class ConcurrentSimulationService:
         params: SamplerParams | None = None,
         gamma: int = 1,
         seed: int = 0,
-        build_jobs: int | None = None,
         max_workers: int = 4,
         merge_window: float = 0.05,
         deadline: float | None = None,
@@ -188,7 +187,6 @@ class ConcurrentSimulationService:
                 params=params,
                 gamma=gamma,
                 seed=seed,
-                build_jobs=build_jobs,
             )
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")

@@ -336,17 +336,10 @@ class SimulationService:
         params: SamplerParams | None = None,
         gamma: int = 1,
         seed: int = 0,
-        build_jobs: int | None = None,
     ) -> None:
         self._network = network
         self._params = params if params is not None else theorem3_params(gamma, seed=seed)
         self._seed = seed
-        # Worker count for the centralized construction work the service
-        # performs itself (spanner repairs).  ``None`` defers to
-        # ``REPRO_BUILD_JOBS`` at call time.  Full rebuilds on a cache
-        # miss are the store's *distributed* construction and are
-        # unaffected — its message accounting is the artifact there.
-        self._build_jobs = build_jobs
         self.store = store if store is not None else ArtifactStore()
         self.metrics = ServiceMetrics()
         # Spanner subnetworks memoized per (graph, edge set): building
@@ -618,7 +611,7 @@ class SimulationService:
     ) -> SpannerResult | None:
         """Attempt a repair; any failure degrades to a rebuild."""
         try:
-            return repair_spanner(ancestor, network, logs, jobs=self._build_jobs)
+            return repair_spanner(ancestor, network, logs)
         except Exception:
             return None
 
