@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Run the full benchmark surface: the paper's experiment tables (quick
-# scale) followed by the perf-regression kernels checked against the
+# Run the repro.bench surface: the paper's experiment tables (quick
+# scale) followed by the oracle-ratio kernels checked against the
 # committed BENCH_core.json.  Exits non-zero if any experiment fails its
-# built-in assertions or any perf kernel regresses by more than 25%.
+# built-in assertions, or if a kernel's exact cost columns change or its
+# speedup over its baseline body drops by more than 25%.  The end-to-end
+# benchmark is separate: BENCHMARK.json and perfbench/run.py.
 #
 # Usage:  benchmarks/run_all.sh [--scale quick|full]
 set -euo pipefail

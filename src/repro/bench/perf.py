@@ -1,791 +1,362 @@
-"""The performance-regression harness (``python -m repro.bench --perf``).
+"""The oracle-ratio harness (``python -m repro.bench --perf``).
 
-Times the simulator's hot kernels — centralized spanner construction on
-three graph families × three sizes, the message-passing oracle of the
-distributed construction (``simulate_sampler``) under the active
-scheduler with its dense baseline (``spanner_dist/*``), the
-flood-schedule derivation on a spanner of each family (``flood/*``,
-including the vector-only ``n10000`` instances), the exact adjacent-pair
-stretch measurement (``stretch/*``), the end-to-end one- and
-two-stage message-reduction schemes on each family, the amortized
-simulation service's warm-vs-cold batch throughput (``service/*``,
-DESIGN.md §3.8), and the array-native round engine against the
-reference per-node interpreter (``runtime_vec/*``, DESIGN.md §3.10) —
-and records the results in ``BENCH_core.json`` at the repo root.  Every future PR then
-has a trajectory to beat:
+``perfbench/`` times every end-to-end workload.  This harness records
+what it cannot: each fast path's in-run speedup over the body it is
+checked against, the exact cost columns (messages, rounds, |S|,
+queries) both bodies must agree on, and the 10^5-node scale and memory
+record, in ``BENCH_core.json`` at the repo root.
 
-* ``--perf``            run the suite, print a table, write the JSON;
-* ``--perf --check``    run the suite and exit non-zero if any kernel is
-  more than :data:`REGRESSION_TOLERANCE` slower than the committed file;
-* ``--perf --filter G`` run only kernels matching the comma-separated
-  fnmatch globs ``G`` — ``!``-prefixed globs exclude (with ``--check``:
-  compare only those kernels);
-* ``--perf --repeats N``  override every kernel's best-of count;
-* ``--perf --memory-budget MB``  exit non-zero when any kernel's
-  recorded ``peak_rss_mb`` (process high-water mark, child processes
-  included) exceeds the budget;
-* ``--perf --jobs N``   time independent kernels in ``N`` worker
-  processes (each kernel is seed-deterministic, so results merge
-  order-independently; wall-clock timings share the machine, so prefer
-  serial runs when ratcheting the committed baseline);
-* ``--perf --update-readme``  regenerate the README's Performance
-  section from the freshly measured numbers.
+``--check`` gates only what carries across hosts (:func:`check_against`):
+exact columns must equal the committed ones, a speedup may not drop more
+than :data:`REGRESSION_TOLERANCE` below its committed value, and best
+times are compared only when the environment fingerprint (versions,
+platform, CPU model and count, RAM) equals the committed one.
 
-Each kernel records its best (``seconds``) *and* median
-(``median_seconds``) over the repeat samples; a warning is printed when
-the sample spread exceeds :data:`SPREAD_WARNING` so noisy ``--check``
-failures are diagnosable.  The JSON also records environment metadata
-(python/numpy/networkx versions, platform, machine) so baseline numbers
-can be interpreted across hosts; metadata and medians never participate
-in the regression check.
-
-The flagship kernel (``spanner/gnp/n2000`` — ``G(n=2000)`` at average
-degree 8) is additionally timed under the seed recount strategy
-(``build_spanner(..., incremental=False)``) so the optimized/seed
-speedup is recorded alongside the absolute numbers.  The
-``spanner_dist/*`` kernels carry the analogous comparison for the round
-engine: each entry's ``baseline_seconds``/``speedup`` time the same
-input under ``scheduler="dense"`` (DESIGN.md §3.6).
+``peak_rss_mb`` is each kernel's own high-water mark: freed heap goes
+back to the OS and ``/proc/self/clear_refs`` resets ``VmHWM`` before
+``build()``; it is read after the first fast body.  Where either step is
+unavailable the column is omitted.
 """
 
 from __future__ import annotations
 
+import ctypes
 import fnmatch
+import gc
 import json
-import multiprocessing
+import os
 import platform
-import statistics
 import sys
-import tempfile
 import time
-
-try:  # POSIX only; peak-RSS columns are skipped where it is missing
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX
-    resource = None  # type: ignore[assignment]
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import networkx
 import numpy
 
+from repro import obs
 from repro.algorithms import (
-    BallCollect,
-    BfsLayers,
-    LubyMis,
-    MinIdAggregation,
-    RandomMatching,
-    RandomizedColoring,
+    BallCollect, BfsLayers, LubyMis, MinIdAggregation, RandomMatching, RandomizedColoring,
     run_direct,
 )
-from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import simulate_sampler
 from repro.engines import Engines
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local.network import Network
 from repro.service import ConcurrentSimulationService, SimulationService
-from repro.store import ArtifactStore
-from repro.simulate import flood_schedule, run_one_stage, run_two_stage, t_local_broadcast
+from repro.simulate import flood_schedule, t_local_broadcast
 from repro.simulate.gossip import run_push_pull
 
 __all__ = [
-    "BENCH_FILE",
-    "REGRESSION_TOLERANCE",
-    "SPREAD_WARNING",
-    "run_perf_suite",
-    "check_against",
-    "format_report",
-    "parse_filter",
-    "render_readme_section",
-    "render_serving_section",
-    "update_readme",
+    "BENCH_FILE", "REGRESSION_TOLERANCE", "SPREAD_WARNING", "Kernel", "default_kernels",
+    "run_perf_suite", "check_against", "format_report", "parse_filter",
+    "render_readme_section", "update_readme",
 ]
 
 BENCH_FILE = "BENCH_core.json"
-REGRESSION_TOLERANCE = 0.25  # fail --check beyond +25% on any kernel
+REGRESSION_TOLERANCE = 0.25  # a speedup may drop, or seconds grow, by this much
 SPREAD_WARNING = 0.20  # warn when (max - min) / min across samples exceeds this
-FLAGSHIP = "spanner/gnp/n2000"
 
 _SPANNER_PARAMS = SamplerParams(k=2, h=2, seed=1)
-_SCHEME_PARAMS = SamplerParams(k=1, h=3, seed=19, c_query=0.7, c_target=1.0)
 _SERVICE_PARAMS = SamplerParams(k=2, h=2, seed=19, c_query=0.7, c_target=1.0)
+FLOOD_RADIUS = 4  # reaches most of the spanner
+_SHORT = 11  # best-of for sub-0.1 s bodies, whose ratios moved ~20% at 3-5
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """One timed unit of work: ``build()`` makes the input (untimed),
-    ``run(input)`` is the measured body.  An optional ``baseline``
-    callable is timed alongside on the same input and recorded as
-    ``baseline_seconds`` plus the resulting ``speedup`` — used by the
-    ``spanner_dist/*`` kernels to pin active- vs dense-scheduler cost.
-
-    ``build`` may return any object ``run`` understands; when it is not
-    a :class:`Network`, the first element of the returned tuple must be
-    (the recorded ``n``/``m`` come from it).
-    """
+    """One measured unit.  ``build()`` makes the input (untimed): a
+    :class:`Network`, or a tuple whose first element is the one whose
+    ``n``/``m`` are recorded.  ``run(input)`` is the timed fast body.
+    ``baseline``, when set, is the body the fast one is checked against,
+    named by ``label`` and timed on the same input; the entry's
+    ``speedup`` is its best time over the fast body's.  ``exact(result)``
+    returns the cost columns the result already holds (messages, rounds,
+    |S|); both bodies must agree on them."""
 
     name: str
     build: Callable[[], object]
     run: Callable[[object], object]
-    repeats: int = 5  # best-of; sub-100ms kernels need the extra samples
+    exact: Callable[[object], dict]
     baseline: Callable[[object], object] | None = None
+    label: str = ""
+    repeats: int = 3  # best-of
 
 
 def _net_of(built: object) -> Network:
     return built[0] if isinstance(built, tuple) else built
 
 
-def _gnp(n: int) -> Network:
-    return erdos_renyi(n, 8 / (n - 1), seed=1)
+def _gnp(n: int, engine: str = "reference") -> Network:
+    return erdos_renyi(n, 8 / (n - 1), seed=1, engine=engine)
 
 
-def _gnp_array(n: int) -> Network:
-    """``_gnp`` through the O(m) array generator — the n >= 10^4 scale
-    kernels would spend longer generating their input than building the
-    spanner on the reference per-pair generator."""
-    return erdos_renyi(n, 8 / (n - 1), seed=1, engine="array")
+def _build_costs(result) -> dict:
+    """|S| and the centralized build's queries (its message analogue)."""
+    return {"spanner_edges": result.size, "queries": result.trace.total_queries}
 
 
-def _spanner(net: Network) -> object:
-    """The default build: the columnar level engine in-process."""
-    return build_spanner(net, _SPANNER_PARAMS)
+def _costs(result) -> dict:
+    """Messages and rounds of a run report, a flood schedule or a
+    distributed spanner result."""
+    return {"messages": result.messages.total, "rounds": result.rounds}
 
 
-def _spanner_reference(net: Network) -> object:
-    return build_spanner(net, _SPANNER_PARAMS, incremental=False)
+def _spanner_costs(result) -> dict:
+    return {**_costs(result), "spanner_edges": result.size}
 
 
-def _spanner_obs_off(net: Network) -> object:
-    """The flagship build with the telemetry plane forced off — the
-    ``obs/overhead`` kernel's measured body.  Forcing (rather than
-    inheriting the environment) keeps the committed baseline meaningful
-    even when the suite itself runs under ``REPRO_OBS=1``."""
-    from repro import obs
+def _spanner(net: Network, incremental: bool = True) -> object:
+    return build_spanner(net, _SPANNER_PARAMS, incremental=incremental)
 
-    previous = obs.set_enabled(False)
+
+def _spanner_obs(enabled: bool, net: Network) -> object:
+    """The default build with the telemetry plane forced on or off, so
+    the ratio holds even when the suite itself runs under ``REPRO_OBS``."""
+    previous = obs.set_enabled(enabled)
     try:
         return build_spanner(net, _SPANNER_PARAMS)
     finally:
         obs.set_enabled(previous)
+        if enabled:
+            obs.collector().reset()
 
 
-def _spanner_obs_on(net: Network) -> object:
-    """The same build with the telemetry plane collecting; recorded as
-    the kernel's ``baseline_seconds``, so the committed ``speedup`` is
-    the measured obs on-cost ratio (DESIGN.md §3.13's overhead
-    contract: the *off* side must stay within the flagship's gate)."""
-    from repro import obs
-
-    previous = obs.set_enabled(True)
-    try:
-        return build_spanner(net, _SPANNER_PARAMS)
-    finally:
-        obs.set_enabled(previous)
-        obs.collector().reset()
+def _simulate(h: int, scheduler: str, net: Network) -> object:
+    return simulate_sampler(net, SamplerParams(k=3, h=h, seed=1), scheduler=scheduler)
 
 
-def _two_stage(net: Network) -> object:
-    return run_two_stage(
-        net, BallCollect(2), stage1_params=_SCHEME_PARAMS, stage2_k=3, seed=33
-    )
+def _flood(engine: str, sub: Network) -> object:
+    return flood_schedule(sub, FLOOD_RADIUS, engine=engine)
 
 
-def _one_stage(net: Network) -> object:
-    return run_one_stage(net, BallCollect(2), params=_SCHEME_PARAMS, seed=33)
-
-
-FLOOD_RADIUS = 4  # balls reach most of the graph; the kernel times the
-# schedule derivation (balls + ecc + exact message counts), which is the
-# Lemma 12 engine itself — payload-dict assembly is workload-specific
-
-# spanner_dist/* kernels run the Theorem 11 schedule in its quiescent
-# regime — k ~ log log n, h ~ log n (both paper-legal), sparse inputs —
-# where most trial windows are idle for most nodes; this is exactly the
-# workload the active scheduler exists for, so each kernel also times
-# the dense baseline on the same input (DESIGN.md §3.6).
-_DIST_PARAMS = {
-    "gnp": SamplerParams(k=3, h=11, seed=1),
-    "torus": SamplerParams(k=3, h=10, seed=1),
-    "ba": SamplerParams(k=3, h=11, seed=1),
-}
-
-
-def _spanner_sub(net: Network) -> Network:
-    return net.subnetwork(build_spanner(net, _SPANNER_PARAMS).edges)
-
-
-def _flood(sub: Network) -> object:
-    return flood_schedule(sub, FLOOD_RADIUS)
-
-
-def _stretch_input(net: Network) -> tuple[Network, frozenset[int]]:
-    return net, build_spanner(net, _SPANNER_PARAMS).edges
-
-
-def _stretch(built: tuple[Network, frozenset[int]]) -> object:
-    net, edges = built
-    return adjacent_pair_stretch(net, edges)
-
-
-# service/* kernels time the amortized simulation service (DESIGN.md
-# §3.8) on one mixed batch of five payload families, radii descending
-# so the flood profile is built once and truncated thereafter.  The
-# measured body is a *warm* batch — spanner and flood profile already
-# cached — and the baseline is the same batch served cold (fresh
-# in-memory store, so the distributed construction and the profile
-# measurement are paid inside the timing).  Fresh payload instances per
-# batch keep the service's identity-dedup out of the measurement: every
-# warm request pays its real shared replay.
-def _service_payloads() -> list:
+def _service_batch() -> list:
+    """The five payload families round-robined 8x; duplicates are the
+    *same* object, so the batching window can merge them across worker
+    threads.  Fresh instances per call keep one run's recent-window
+    from feeding the next."""
     return [
-        MinIdAggregation(3),
-        RandomMatching(1),
-        RandomizedColoring(2),
-        BfsLayers(0, 2),
-        LubyMis(1),
-    ]
+        MinIdAggregation(3), RandomMatching(1), RandomizedColoring(2), BfsLayers(0, 2), LubyMis(1)
+    ] * 8
 
 
-def _service_input(net: Network) -> tuple[Network, SimulationService]:
+def _warm_front(workers: int) -> tuple[Network, ConcurrentSimulationService]:
+    net = _gnp(2000)
     service = SimulationService(net, params=_SERVICE_PARAMS, seed=33)
-    service.serve(_service_payloads())  # pay construction outside the timing
-    return net, service
+    front = ConcurrentSimulationService(service=service, max_workers=workers, merge_window=1.0)
+    front.serve(_service_batch()[:5])  # pay construction outside the timing
+    return net, front
 
 
-def _service_warm(built: tuple[Network, SimulationService]) -> object:
-    _, service = built
-    return service.serve(_service_payloads())
+def _serve(built: tuple[Network, ConcurrentSimulationService]) -> object:
+    return built[1].serve(_service_batch())
 
 
-def _service_cold(built: tuple[Network, SimulationService]) -> object:
-    net, _ = built
-    return SimulationService(net, params=_SERVICE_PARAMS, seed=33).serve(
-        _service_payloads()
-    )
-
-
-# service/concurrent/* kernels time the hardened concurrent front
-# (DESIGN.md §3.12) on a 40-request workload: the five payload families
-# round-robined 8x, duplicates being the *same* object so the batching
-# window can merge them across worker threads.  The baseline is the
-# 1-worker serial ``submit()`` loop over the identical workload on the
-# same (warm) store — every request pays a full replay there, so the
-# recorded ``speedup`` is the requests-per-second factor coalescing
-# buys (acceptance: >= 3x at 4 workers).  Fresh payload instances per
-# batch keep one run's recent-window from feeding the next.
-_CONCURRENT_DUP = 8  # copies of each payload per workload
-
-
-def _concurrent_batch() -> list:
-    payloads = _service_payloads()
-    return [payload for _ in range(_CONCURRENT_DUP) for payload in payloads]
-
-
-def _concurrent_requests() -> int:
-    return len(_service_payloads()) * _CONCURRENT_DUP
-
-
-def _concurrent_input(workers: int):
-    def build() -> tuple[Network, ConcurrentSimulationService]:
-        net = _gnp(2000)
-        front = ConcurrentSimulationService(
-            service=SimulationService(net, params=_SERVICE_PARAMS, seed=33),
-            max_workers=workers,
-            merge_window=1.0,
-        )
-        front.serve(_service_payloads())  # pay construction outside the timing
-        return net, front
-
-    return build
-
-
-def _concurrent_warm(built: tuple[Network, ConcurrentSimulationService]) -> object:
-    _, front = built
-    return front.serve(_concurrent_batch())
-
-
-def _concurrent_serial(built: tuple[Network, ConcurrentSimulationService]) -> object:
-    """The 1-worker serial ``submit()`` loop over the same warm store."""
+def _serve_serial(built: tuple[Network, ConcurrentSimulationService]) -> object:
     net, front = built
-    service = SimulationService(
-        net, store=front.store, params=_SERVICE_PARAMS, seed=33
+    service = SimulationService(net, store=front.store, params=_SERVICE_PARAMS, seed=33)
+    return [service.submit(request) for request in _service_batch()]
+
+
+def _served_costs(responses: list) -> dict:
+    return {
+        "messages": sum(r.report.simulation_messages for r in responses),
+        "rounds": sum(r.report.simulation_rounds for r in responses),
+        "spanner_edges": responses[0].spanner.size,
+    }
+
+
+def _vec_flood(engine: str, net: Network) -> object:
+    return t_local_broadcast(
+        net, payload_of=lambda v: (v,), radius=2, engines=Engines("runtime", rounds=engine)
     )
-    return [service.submit(request) for request in _concurrent_batch()]
 
 
-def _concurrent_cold_input() -> tuple[Network, None]:
-    return _gnp(2000), None
+def _vec_gossip(engine: str, net: Network) -> object:
+    return run_push_pull(net, rounds=12, t=2, seed=3, engines=Engines(rounds=engine))
 
 
-def _concurrent_cold(built: tuple[Network, None]) -> object:
-    """The whole workload against an empty store: the 4 workers race one
-    cold key, singleflight elects one builder, everyone else coalesces."""
-    net, _ = built
-    front = ConcurrentSimulationService(
-        service=SimulationService(net, params=_SERVICE_PARAMS, seed=33),
-        max_workers=4,
-        merge_window=1.0,
-    )
-    with front:
-        return front.serve(_concurrent_batch())
+def _vec_algo(engine: str, net: Network) -> object:
+    return run_direct(net, BallCollect(2), seed=7, engines=Engines(rounds=engine))
 
 
-def _concurrent_cold_serial(built: tuple[Network, None]) -> object:
-    net, _ = built
-    service = SimulationService(net, params=_SERVICE_PARAMS, seed=33)
-    return [service.submit(request) for request in _concurrent_batch()]
-
-
-def _concurrent_proc_worker(store_dir: str, queue) -> None:
-    """One worker process of the cross-process kernel (module-level so
-    the fork-spawned child resolves it regardless of how the perf suite
-    itself was parallelized)."""
-    net = _gnp(2000)
-    store = ArtifactStore(store_dir)
-    front = ConcurrentSimulationService(
-        service=SimulationService(net, store=store, params=_SERVICE_PARAMS, seed=33),
-        max_workers=2,
-        merge_window=1.0,
-    )
-    with front:
-        front.serve(_concurrent_batch())
-    queue.put(store.stats.snapshot())
-
-
-def _concurrent_procs_input() -> tuple[Network, object]:
-    net = _gnp(2000)
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-    # Pre-seed the shared directory so the measured body is the warm
-    # 2-process serving rate, not one process's construction.
-    SimulationService(
-        net, store=ArtifactStore(tmp.name), params=_SERVICE_PARAMS, seed=33
-    ).serve(_service_payloads())
-    return net, tmp
-
-
-def _concurrent_procs(built: tuple[Network, object]) -> object:
-    """Two worker processes share one store directory through the file
-    locks; the body fails outright on any corrupt read — the acceptance
-    bar is zero."""
-    _, tmp = built
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    workers = [
-        ctx.Process(target=_concurrent_proc_worker, args=(tmp.name, queue))
-        for _ in range(2)
-    ]
-    for worker in workers:
-        worker.start()
-    stats = [queue.get(timeout=600) for _ in workers]
-    for worker in workers:
-        worker.join(timeout=60)
-    corrupt = sum(snapshot["corrupt"] for snapshot in stats)
-    if corrupt:
-        raise RuntimeError(
-            f"cross-process kernel saw {corrupt} corrupt reads (must be 0)"
-        )
-    return stats
-
-
-# runtime_vec/* kernels time the array-native round engine (DESIGN.md
-# §3.10) against the reference per-node interpreter on one n=2000
-# instance each: a radius-2 runtime-engine flood on a *dense* G(n,m)
-# with m=90000 — the paper's m >> n regime, where the interpreter
-# pays per message and per bundle entry while the bitset rounds pay
-# one word-OR per 64 origins — 12 rounds of push-pull gossip (long
-# enough that known sets saturate, the reference's worst case), and
-# a registered LOCAL algorithm run end to end.  The baseline column
-# re-runs the *identical* body under ``Engines(rounds="reference")`` —
-# same RunReport, different engine (acceptance: >= 3x on flood and
-# gossip).
-def _vec_flood(engine: str):
-    def run(net: Network) -> object:
-        return t_local_broadcast(
-            net,
-            payload_of=lambda v: (v,),
-            radius=2,
-            engines=Engines("runtime", rounds=engine),
-        )
-
-    return run
-
-
-def _vec_gossip(engine: str):
-    def run(net: Network) -> object:
-        return run_push_pull(net, rounds=12, t=2, seed=3, engines=Engines(rounds=engine))
-
-    return run
-
-
-def _vec_algo(engine: str):
-    def run(net: Network) -> object:
-        return run_direct(net, BallCollect(2), seed=7, engines=Engines(rounds=engine))
-
-    return run
-
-
-def _baseline_label(name: str) -> str:
-    """What a kernel's ``baseline_seconds`` column timed."""
-    if name.startswith("service/concurrent/"):
-        # the concurrent-front kernels baseline the 1-worker serial
-        # submit() loop (checked before the plain service/ prefix)
-        return "serial"
-    if name.startswith("service/"):
-        return "cold"
-    if name.startswith("runtime_vec/"):
-        return "reference"
-    if name.startswith("obs/"):
-        # obs/overhead measures the telemetry-off build and baselines
-        # the same build with spans collecting: speedup == on-cost
-        return "obs-on"
-    return "dense"
-
-
-def _spanner_dist(family: str):
-    def run(net: Network) -> object:
-        return simulate_sampler(net, _DIST_PARAMS[family])
-
-    return run
-
-
-def _spanner_dist_dense(family: str):
-    def run(net: Network) -> object:
-        return simulate_sampler(net, _DIST_PARAMS[family], scheduler="dense")
-
-    return run
+def _engine_pair(name: str, build, body, repeats: int = 3) -> Kernel:
+    """``body`` on its vector engine against the reference one."""
+    vector, reference = partial(body, "vector"), partial(body, "reference")
+    return Kernel(name, build, vector, _costs, reference, "reference", repeats)
 
 
 def default_kernels() -> list[Kernel]:
-    """3 graph families × 3 sizes of spanner construction, the
-    distributed construction (active scheduler vs its dense baseline)
-    on one instance per family, the flood-schedule engine over a
-    spanner of the largest instance of each family (plus the
-    vector-only ``n10000`` instances), the exact adjacent-pair stretch
-    measurement at ``n5000``, the one- and two-stage schemes
-    (distributed stage 1 + every simulation) on a small and one larger
-    instance, the simulation service's warm payload batches with
-    their cold-store baselines, and the vector round engine against
-    its reference interpreter on flood/gossip/algorithm bodies."""
-    kernels: list[Kernel] = []
-    # The scale record (DESIGN.md §3.11): the 10^5-node build, best-of-1
-    # since the body is seconds-long.  It runs first, so its
-    # ``peak_rss_mb`` (a process high-water mark) is its own footprint.
-    kernels.append(
-        Kernel(
-            "spanner/gnp/n100000",
-            lambda: _gnp_array(100000),
-            _spanner,
-            repeats=1,
-        )
+    """The 12 kernels, in run order.  The first is the scale record
+    (DESIGN.md §3.11), best-of-1 because its body takes seconds; every
+    other kernel carries the body its fast path is checked against:
+
+    * ``spanner/gnp/n2000``: the seed recount (DESIGN.md §3.2);
+    * ``obs/overhead``: the same build with spans on, so the speedup is
+      the telemetry on-cost and a slower off path drops it (§3.13);
+    * ``spanner_dist/*``: the message-passing ``Sampler`` (the oracle of
+      the derived construction, §3.14) under the dense scheduler, in its
+      quiescent regime — k ~ log log n, h ~ log n, sparse inputs — where
+      most trial windows are idle for most nodes (§3.6);
+    * ``flood/gnp/n2000``: ``flood_schedule`` on the reference distance
+      plane (§3.7);
+    * ``service/concurrent/*``: a 1-worker serial ``submit()`` loop over
+      the same 40 requests and warm store, where every request pays a
+      full replay (§3.12);
+    * ``runtime_vec/*``: the per-node interpreter (§3.10) on a radius-2
+      runtime flood over a dense G(n, m) (the paper's m >> n regime),
+      12 rounds of push-pull gossip and a LOCAL algorithm.
+    """
+    gnp2000 = partial(_gnp, 2000)
+    dist = (
+        ("gnp/n2000", partial(erdos_renyi, 2000, 3 / 1999, seed=1), 11),
+        ("torus/32x32", partial(torus, 32, 32), 10),
+        ("ba/n2000", partial(barabasi_albert, 2000, 2, seed=1), 11),
     )
-    for n in (500, 1000, 2000):
-        kernels.append(Kernel(f"spanner/gnp/n{n}", lambda n=n: _gnp(n), _spanner))
-    # The telemetry-plane overhead contract (DESIGN.md §3.13): the
-    # measured body is the flagship build with REPRO_OBS forced off —
-    # its gate entry proves disabled instrumentation stays free — and
-    # the baseline re-runs it with spans collecting, putting the
-    # on-cost ratio on record as the kernel's ``speedup``.
-    kernels.append(
-        Kernel(
-            "obs/overhead",
-            lambda: _gnp(2000),
-            _spanner_obs_off,
-            baseline=_spanner_obs_on,
-        )
-    )
-    for side in (16, 24, 32):
-        kernels.append(
-            Kernel(f"spanner/torus/{side}x{side}", lambda s=side: torus(s, s), _spanner)
-        )
-    for n in (500, 1000, 2000):
-        kernels.append(
-            Kernel(
-                f"spanner/ba/n{n}",
-                lambda n=n: barabasi_albert(n, 4, seed=1),
-                _spanner,
-            )
-        )
-    for family, build in (
-        ("gnp", lambda: erdos_renyi(2000, 3 / 1999, seed=1)),
-        ("torus", lambda: torus(32, 32)),
-        ("ba", lambda: barabasi_albert(2000, 2, seed=1)),
-    ):
-        name = "torus/32x32" if family == "torus" else f"{family}/n2000"
-        kernels.append(
-            Kernel(
-                f"spanner_dist/{name}",
-                build,
-                _spanner_dist(family),
-                # best-of-3: the second-long bodies jitter on shared
-                # hosts, and the committed speedup should be steady-state
-                repeats=3,
-                baseline=_spanner_dist_dense(family),
-            )
-        )
-    kernels.append(
-        Kernel("flood/gnp/n2000", lambda: _spanner_sub(_gnp(2000)), _flood)
-    )
-    kernels.append(
-        Kernel("flood/torus/32x32", lambda: _spanner_sub(torus(32, 32)), _flood)
-    )
-    kernels.append(
-        Kernel(
-            "flood/ba/n2000",
-            lambda: _spanner_sub(barabasi_albert(2000, 4, seed=1)),
-            _flood,
-        )
-    )
-    # The n >= 10^4 instances are feasible only under the vector
-    # distance engine (DESIGN.md §3.7): the per-node Python BFS they
-    # replaced needs minutes at this scale.
-    kernels.append(
-        Kernel(
-            "flood/gnp/n10000",
-            lambda: _spanner_sub(erdos_renyi(10000, 8 / 9999, seed=1)),
-            _flood,
-            repeats=3,
-        )
-    )
-    kernels.append(
-        Kernel(
-            "flood/ba/n10000",
-            lambda: _spanner_sub(barabasi_albert(10000, 4, seed=1)),
-            _flood,
-            repeats=3,
-        )
-    )
-    kernels.append(
-        Kernel(
-            "stretch/gnp/n5000",
-            lambda: _stretch_input(erdos_renyi(5000, 8 / 4999, seed=1)),
-            _stretch,
-            repeats=3,
-        )
-    )
-    for name, build in (
-        ("gnp", lambda: erdos_renyi(150, 0.18, seed=27)),
-        ("torus", lambda: torus(12, 12)),
-        ("ba", lambda: barabasi_albert(160, 3, seed=5)),
-    ):
-        kernels.append(
-            Kernel(f"scheme/one_stage/{name}", build, _one_stage, repeats=2)
-        )
-        kernels.append(
-            Kernel(f"scheme/two_stage/{name}", build, _two_stage, repeats=2)
-        )
-    kernels.append(
-        Kernel(
-            "scheme/one_stage/gnp_n600",
-            lambda: erdos_renyi(600, 8 / 599, seed=29),
-            _one_stage,
-            repeats=2,
-        )
-    )
-    # service/* kernels: warm-batch throughput with the cold serve as
-    # the baseline, so `speedup` records the amortization factor the
-    # artifact store buys (acceptance: >= 5x on service/gnp/n2000).
-    for family, build in (
-        ("gnp", lambda: _service_input(_gnp(2000))),
-        ("ba", lambda: _service_input(barabasi_albert(2000, 4, seed=1))),
-    ):
-        kernels.append(
-            Kernel(
-                f"service/{family}/n2000",
-                build,
-                _service_warm,
-                repeats=3,
-                baseline=_service_cold,
-            )
-        )
-    # service/concurrent/* kernels: the hardened concurrent front's
-    # 40-request workload at 1 and 4 thread workers (warm), 4 workers
-    # against an empty store (cold: singleflight pays one build), and
-    # two worker processes sharing one store directory (locking; zero
-    # corrupt reads asserted in the body).  Baselines are the serial
-    # submit() loop over the identical workload (DESIGN.md §3.12).
-    for workers in (1, 4):
-        kernels.append(
-            Kernel(
-                f"service/concurrent/warm_w{workers}",
-                _concurrent_input(workers),
-                _concurrent_warm,
-                repeats=3,
-                baseline=_concurrent_serial,
-            )
-        )
-    kernels.append(
-        Kernel(
-            "service/concurrent/cold_w4",
-            _concurrent_cold_input,
-            _concurrent_cold,
-            repeats=2,
-            baseline=_concurrent_cold_serial,
-        )
-    )
-    kernels.append(
-        Kernel(
-            "service/concurrent/procs_p2",
-            _concurrent_procs_input,
-            _concurrent_procs,
-            repeats=1,
-        )
-    )
-    # runtime_vec/* kernels: the array-native round engine vs the
-    # reference per-node interpreter on the same body (DESIGN.md §3.10).
-    for label, make, build in (
-        ("flood", _vec_flood, lambda: dense_gnm(2000, 90000, seed=1)),
-        ("gossip", _vec_gossip, lambda: _gnp(2000)),
-        ("algo", _vec_algo, lambda: _gnp(2000)),
-    ):
-        kernels.append(
-            Kernel(
-                f"runtime_vec/{label}/n2000",
-                build,
-                make("vector"),
-                repeats=3,
-                baseline=make("reference"),
-            )
-        )
-    return kernels
+    return [
+        Kernel("spanner/gnp/n100000", partial(_gnp, 100000, "array"), _spanner, _build_costs,
+               repeats=1),
+        Kernel("spanner/gnp/n2000", gnp2000, _spanner, _build_costs,
+               partial(_spanner, incremental=False), "oracle", _SHORT),
+        Kernel("obs/overhead", gnp2000, partial(_spanner_obs, False), _build_costs,
+               partial(_spanner_obs, True), "obs-on", _SHORT),
+        *(Kernel(f"spanner_dist/{name}", build, partial(_simulate, h, "active"), _spanner_costs,
+                 partial(_simulate, h, "dense"), "dense") for name, build, h in dist),
+        _engine_pair("flood/gnp/n2000", lambda: _spanner(_gnp(2000)).subnetwork(), _flood, _SHORT),
+        *(Kernel(f"service/concurrent/warm_w{workers}", partial(_warm_front, workers), _serve,
+                 _served_costs, _serve_serial, "serial") for workers in (1, 4)),
+        _engine_pair("runtime_vec/flood/n2000", partial(dense_gnm, 2000, 90000, seed=1),
+                     _vec_flood),
+        _engine_pair("runtime_vec/gossip/n2000", gnp2000, _vec_gossip),
+        _engine_pair("runtime_vec/algo/n2000", gnp2000, _vec_algo, _SHORT),
+    ]
 
 
-def _samples(run: Callable[[object], object], built: object, repeats: int) -> list[float]:
-    out: list[float] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run(built)
-        out.append(time.perf_counter() - started)
-    return out
+def _timed(run: Callable[[object], object], built: object) -> tuple[float, object]:
+    gc.collect()  # the other body's garbage is not this body's time
+    started = time.perf_counter()
+    result = run(built)
+    return time.perf_counter() - started, result
 
 
 def _spread(samples: list[float]) -> float:
     low = min(samples)
-    if low <= 0:
-        return 0.0
-    return (max(samples) - low) / low
+    return (max(samples) - low) / low if low > 0 else 0.0
 
 
-def _peak_rss_mb() -> float | None:
-    """Peak resident set of this process (and its worker children) in
-    MB — ``resource.getrusage`` high-water marks, so within one process
-    the value is monotone across kernels: each entry records the
-    biggest footprint *up to and including* itself.  That is exactly
-    the conservative reading a ``--memory-budget`` check wants."""
-    if resource is None:  # pragma: no cover - non-POSIX
-        return None
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    # Linux reports kilobytes.
-    return round(max(own, kids) / 1024, 1)
+def _proc_field(path: str, key: str) -> str | None:
+    """The value after ``key:`` in a Linux ``/proc`` text file."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            for line in handle:
+                name, _, value = line.partition(":")
+                if name.strip() == key:
+                    return value.strip()
+    except OSError:
+        pass
+    return None
 
 
-def _measure_kernel(kernel: Kernel, repeats: int | None) -> tuple[dict, dict | None]:
-    """Build and time one kernel; returns ``(entry, flagship_or_None)``.
+def _kib_to_mb(value: str | None) -> float | None:
+    return None if value is None else round(int(value.split()[0]) / 1024, 1)
 
-    The entry carries best (``seconds``) and ``median_seconds`` over the
-    samples plus input sizes and the post-run peak RSS; the flagship
-    kernel also times the seed recount path so the optimized/seed
-    speedup stays on record.
-    """
+
+def _reset_peak_rss() -> bool:
+    """Hand freed heap back to the OS (glibc ``malloc_trim``), so earlier
+    kernels' garbage does not count, then reset ``VmHWM`` to the current
+    RSS; False where either is unavailable."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+            handle.write("5")
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+def _measure_kernel(kernel: Kernel, repeats: int | None) -> dict:
+    """Build, time and cost one kernel.  Fast and baseline samples
+    alternate, so drift in the host's load moves both sides of the ratio
+    alike.  Raises when the baseline's exact columns differ from the fast
+    body's: a ratio between bodies that disagree means nothing."""
+    gc.collect()
+    tracked = _reset_peak_rss()
     built = kernel.build()
     net = _net_of(built)
     best_of = repeats if repeats is not None else kernel.repeats
-    samples = _samples(kernel.run, built, best_of)
-    seconds = min(samples)
-    entry = {
-        "seconds": round(seconds, 4),
-        "median_seconds": round(statistics.median(samples), 4),
+    samples, base_samples, peak = [], [], None
+    for _ in range(best_of):
+        seconds, result = _timed(kernel.run, built)
+        samples.append(seconds)
+        if tracked and peak is None:  # its build and one fast body, no baseline yet
+            peak = _kib_to_mb(_proc_field("/proc/self/status", "VmHWM"))
+        if kernel.baseline is not None:
+            seconds, base_result = _timed(kernel.baseline, built)
+            base_samples.append(seconds)
+    entry: dict = {
+        "seconds": round(min(samples), 4),
         "n": net.n,
         "m": net.m,
         "repeats": best_of,
+        "exact": kernel.exact(result),
     }
-    peak = _peak_rss_mb()
     if peak is not None:
         entry["peak_rss_mb"] = peak
-    spread = _spread(samples)
-    if spread > SPREAD_WARNING:
-        entry["spread"] = round(spread, 2)
+    if _spread(samples) > SPREAD_WARNING:
+        entry["spread"] = round(_spread(samples), 2)
     if kernel.baseline is not None:
-        baseline = min(_samples(kernel.baseline, built, best_of))
-        entry["baseline_seconds"] = round(baseline, 4)
-        entry["speedup"] = round(baseline / seconds, 2)
-    flagship = None
-    if kernel.name == FLAGSHIP:
-        reference = min(_samples(_spanner_reference, built, best_of))
-        flagship = {
-            "kernel": FLAGSHIP,
-            "optimized_seconds": round(seconds, 4),
-            "reference_seconds": round(reference, 4),
-            "speedup": round(reference / seconds, 2),
-        }
-    return entry, flagship
+        if kernel.exact(base_result) != entry["exact"]:
+            raise RuntimeError(
+                f"{kernel.name}: fast body {entry['exact']} disagrees with its "
+                f"{kernel.label} baseline {kernel.exact(base_result)}"
+            )
+        entry["baseline"] = kernel.label
+        entry["baseline_seconds"] = round(min(base_samples), 4)
+        entry["speedup"] = round(min(base_samples) / min(samples), 2)
+    return entry
 
 
-def _measure_named_kernel(name: str, repeats: int | None) -> tuple[dict, dict | None]:
-    """Worker entry point for ``--jobs``: kernels hold closures, so the
-    pool ships names and each worker rebuilds its kernel locally."""
-    for kernel in default_kernels():
-        if kernel.name == name:
-            return _measure_kernel(kernel, repeats)
-    raise KeyError(f"unknown kernel {name!r}")
+def _baseline_text(entry: dict) -> str:
+    if "baseline_seconds" not in entry:
+        return "—"
+    return f"{entry['baseline']} {entry['baseline_seconds']:.3f}s ({entry['speedup']:.2f}x)"
 
 
 def _progress_line(name: str, entry: dict) -> str:
     line = f"{name}: {entry['seconds']:.3f}s (n={entry['n']}, m={entry['m']})"
     if "baseline_seconds" in entry:
-        # spanner_dist/* baselines time the dense scheduler, service/*
-        # the cold (empty-store) serve.
-        label = _baseline_label(name)
-        line += (
-            f"; {label} baseline {entry['baseline_seconds']:.3f}s "
-            f"-> {entry['speedup']:.2f}x"
-        )
+        line += f"; {_baseline_text(entry)}"
     if "spread" in entry:
         line += (
             f"  ** warning: sample spread {entry['spread'] * 100:.0f}% exceeds "
-            f"{SPREAD_WARNING * 100:.0f}% — timings are noisy, re-run before "
-            f"trusting a --check verdict **"
+            f"{SPREAD_WARNING * 100:.0f}% — timings are noisy **"
         )
     return line
 
 
-def _ram_total_mb() -> int | None:
-    """Physical memory of the host in MB (Linux /proc/meminfo)."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith("MemTotal:"):
-                    return int(line.split()[1]) // 1024
-    except (OSError, ValueError, IndexError):  # pragma: no cover
-        pass
-    return None
-
-
 def _environment() -> dict:
-    """Host metadata recorded alongside the numbers (never checked)."""
-    env = {
+    """The host fingerprint: best times are compared only between
+    documents whose fingerprints are equal."""
+    return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "numpy": numpy.__version__,
         "networkx": networkx.__version__,
+        "cpu_count": os.cpu_count(),
+        "cpu_model": _proc_field("/proc/cpuinfo", "model name"),
+        "ram_total_mb": _kib_to_mb(_proc_field("/proc/meminfo", "MemTotal")),
     }
-    ram = _ram_total_mb()
-    if ram is not None:
-        env["ram_total_mb"] = ram
-    return env
 
 
 def _matches(name: str, patterns: list[str] | None) -> bool:
-    """fnmatch against a glob list; ``!glob`` entries exclude.
-
-    A name matches when no ``!`` pattern matches it AND (some positive
-    pattern matches it, or the list has no positive patterns).  So
-    ``spanner*,!*n100000`` is "the spanner kernels except the 10^5
-    instance" and ``!service/*`` is "everything but the service suite".
-    """
+    """fnmatch against a glob list; ``!glob`` entries exclude.  A name
+    matches when no ``!`` pattern matches it and some positive pattern
+    does, or there is none: ``!*n100000`` is "all but the scale record"."""
     if not patterns:
         return True
     negative = [p[1:] for p in patterns if p.startswith("!")]
@@ -806,389 +377,155 @@ def parse_filter(spec: str | None) -> list[str] | None:
     return patterns or None
 
 
-def run_perf_suite(
-    progress: Callable[[str], None] | None = None,
-    *,
-    filter_patterns: list[str] | None = None,
-    repeats: int | None = None,
-    jobs: int = 1,
-) -> dict:
-    """Time every kernel (or the ``filter_patterns`` subset); returns
-    the ``BENCH_core.json`` document.  ``repeats`` overrides each
-    kernel's best-of count when given.  ``jobs > 1`` times kernels in
-    that many worker processes; kernels are seed-deterministic and
-    independent, so the document is assembled in canonical kernel order
-    regardless of completion order."""
-    doc: dict = {
-        "schema": 1,
-        "suite": "core",
-        "environment": _environment(),
-        "kernels": {},
-    }
-    names = [
-        kernel.name
-        for kernel in default_kernels()
-        if _matches(kernel.name, filter_patterns)
-    ]
-    results: dict[str, tuple[dict, dict | None]] = {}
-    if jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = {
-                pool.submit(_measure_named_kernel, name, repeats): name
-                for name in names
-            }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    name = pending.pop(future)
-                    results[name] = future.result()
-                    if progress:
-                        progress(_progress_line(name, results[name][0]))
-    else:
-        for name in names:
-            results[name] = _measure_named_kernel(name, repeats)
+def run_perf_suite(progress: Callable[[str], None] | None = None, *,
+                   filter_patterns: list[str] | None = None, repeats: int | None = None) -> dict:
+    """Measure every kernel (or the ``filter_patterns`` subset) in this
+    process, in order; returns the ``BENCH_core.json`` document.
+    ``repeats`` overrides each kernel's best-of count when given."""
+    doc: dict = {"schema": 2, "suite": "core", "environment": _environment(), "kernels": {}}
+    for kernel in default_kernels():
+        if _matches(kernel.name, filter_patterns):
+            entry = doc["kernels"][kernel.name] = _measure_kernel(kernel, repeats)
             if progress:
-                progress(_progress_line(name, results[name][0]))
-    for name in names:
-        entry, flagship = results[name]
-        doc["kernels"][name] = entry
-        if flagship is not None:
-            doc["flagship"] = flagship
-            if progress:
-                progress(
-                    f"{FLAGSHIP} seed-path reference: "
-                    f"{flagship['reference_seconds']:.3f}s "
-                    f"(speedup {flagship['speedup']:.2f}x)"
-                )
+                progress(_progress_line(kernel.name, entry))
     return doc
 
 
-def check_against(
-    committed: dict,
-    fresh: dict,
-    filter_patterns: list[str] | None = None,
-) -> list[str]:
-    """Regressions of ``fresh`` vs ``committed`` beyond the tolerance.
-
-    With ``filter_patterns``, only committed kernels matching the globs
-    are compared — kernels excluded by the filter are not "missing".
-    """
+def check_against(committed: dict, fresh: dict,
+                  filter_patterns: list[str] | None = None) -> list[str]:
+    """Regressions of ``fresh`` against ``committed``: changed exact
+    columns, a speedup more than :data:`REGRESSION_TOLERANCE` below the
+    committed one and — only when both documents carry the same
+    environment fingerprint — a best time that much above it.  With
+    ``filter_patterns``, only committed kernels matching the globs are
+    compared; kernels excluded by the filter are not "missing"."""
+    same_host = committed.get("environment") == fresh.get("environment")
+    tolerance = f"tolerance {REGRESSION_TOLERANCE * 100:.0f}%"
     problems: list[str] = []
-    for name, entry in committed.get("kernels", {}).items():
+    for name, old in committed.get("kernels", {}).items():
         if not _matches(name, filter_patterns):
             continue
-        now = fresh["kernels"].get(name)
-        if now is None:
+        new = fresh["kernels"].get(name)
+        if new is None:
             problems.append(f"{name}: kernel missing from fresh run")
             continue
-        old = entry["seconds"]
-        new = now["seconds"]
-        if old > 0 and new > old * (1 + REGRESSION_TOLERANCE):
+        if new.get("exact") != old.get("exact"):
+            problems.append(f"{name}: exact columns {new.get('exact')} vs {old.get('exact')}")
+        ratio, floor = new.get("speedup", 0.0), old.get("speedup", 0.0) * (1 - REGRESSION_TOLERANCE)
+        if ratio < floor:
             problems.append(
-                f"{name}: {new:.3f}s vs committed {old:.3f}s "
-                f"(+{(new / old - 1) * 100:.0f}%, tolerance "
-                f"{REGRESSION_TOLERANCE * 100:.0f}%)"
+                f"{name}: speedup over {old.get('baseline', 'baseline')} {ratio:.2f}x vs "
+                f"committed {old['speedup']:.2f}x ({tolerance})"
+            )
+        before, after = old["seconds"], new["seconds"]
+        if same_host and before > 0 and after > before * (1 + REGRESSION_TOLERANCE):
+            problems.append(
+                f"{name}: {after:.3f}s vs committed {before:.3f}s "
+                f"(+{(after / before - 1) * 100:.0f}%, {tolerance})"
             )
     return problems
 
 
 def format_report(doc: dict) -> str:
-    lines = ["== perf: core kernels =="]
-    kernels = doc["kernels"]
-    if not kernels:
-        lines.append("  (no kernels matched)")
-        return "\n".join(lines)
-    width = max(len(name) for name in kernels)
-    for name, entry in kernels.items():
-        line = (
-            f"  {name:<{width}}  {entry['seconds']:8.3f}s   "
-            f"n={entry['n']:<6} m={entry['m']}"
-        )
-        if "median_seconds" in entry:
-            line += f"   median {entry['median_seconds']:.3f}s"
-        if "baseline_seconds" in entry:
-            label = _baseline_label(name)
-            line += (
-                f"   {label} {entry['baseline_seconds']:.3f}s "
-                f"({entry['speedup']:.2f}x)"
-            )
-        if "spread" in entry:
-            line += f"   !spread {entry['spread'] * 100:.0f}%"
-        lines.append(line)
-    flagship = doc.get("flagship")
-    if flagship:
-        lines.append(
-            f"  flagship {flagship['kernel']}: optimized "
-            f"{flagship['optimized_seconds']:.3f}s vs seed-path "
-            f"{flagship['reference_seconds']:.3f}s -> "
-            f"{flagship['speedup']:.2f}x"
-        )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# README integration
-# ----------------------------------------------------------------------
-README_BEGIN = "<!-- BENCH_core:begin -->"
-README_END = "<!-- BENCH_core:end -->"
-SERVING_BEGIN = "<!-- BENCH_serving:begin -->"
-SERVING_END = "<!-- BENCH_serving:end -->"
-
-
-def render_serving_section(doc: dict) -> str:
-    """The README's Serving throughput table, from the ``service/*`` kernels.
-
-    Each kernel serves one mixed batch of ``len(_service_payloads())``
-    payload requests; requests/sec follows directly from the measured
-    batch times, cold (empty store: construction + flood profile paid
-    inside the serve) vs warm (both artifacts cached).
-    """
-    batch = len(_service_payloads())
+    """The kernels as a Markdown table: the run report and the README
+    Performance block."""
+    if not doc["kernels"]:
+        return "(no kernels matched)"
     lines = [
-        SERVING_BEGIN,
-        "",
-        "| kernel | n | m | warm batch | cold batch | warm req/s | cold req/s | amortization |",
-        "|---|---:|---:|---:|---:|---:|---:|---:|",
+        "| kernel | n | m | exact columns | best time | baseline | peak RSS |",
+        "|---|---:|---:|---|---:|---:|---:|",
     ]
     for name, entry in doc["kernels"].items():
-        if (
-            not name.startswith("service/")
-            or name.startswith("service/concurrent/")
-            or "baseline_seconds" not in entry
-        ):
-            continue
-        warm = entry["seconds"]
-        cold = entry["baseline_seconds"]
+        exact = " ".join(f"{key}={value}" for key, value in entry["exact"].items())
+        peak = f"{entry['peak_rss_mb']:.1f} MB" if "peak_rss_mb" in entry else "—"
+        spread = f" (spread {entry['spread'] * 100:.0f}%)" if "spread" in entry else ""
         lines.append(
-            f"| `{name}` | {entry['n']} | {entry['m']} | {warm:.3f}s | "
-            f"{cold:.3f}s | {batch / warm:.1f} | {batch / cold:.1f} | "
-            f"**{entry['speedup']:.2f}x** |"
+            f"| `{name}` | {entry['n']} | {entry['m']} | {exact} | "
+            f"{entry['seconds']:.3f}s{spread} | {_baseline_text(entry)} | {peak} |"
         )
-    lines.append("")
-    lines.append(
-        f"Each batch serves {batch} distinct payload algorithms (aggregation, "
-        "matching, coloring, BFS, MIS) through `SimulationService`.  The cold "
-        "column pays the distributed `Sampler` construction and the flood-"
-        "profile measurement inside the serve; the warm column reuses both "
-        "from the artifact store and pays only the per-payload shared "
-        "replays — the paper's free lunch as a served-traffic number "
-        "(DESIGN.md §3.8)."
-    )
-    concurrent = {
-        name: entry
-        for name, entry in doc["kernels"].items()
-        if name.startswith("service/concurrent/")
-    }
-    if concurrent:
-        requests = _concurrent_requests()
-        lines.append("")
-        lines.append(
-            "| kernel | requests | batch | req/s | serial batch | serial req/s | speedup |"
-        )
-        lines.append("|---|---:|---:|---:|---:|---:|---:|")
-        for name, entry in concurrent.items():
-            seconds = entry["seconds"]
-            if "baseline_seconds" in entry:
-                serial = entry["baseline_seconds"]
-                tail = (
-                    f"{serial:.3f}s | {requests / serial:.1f} | "
-                    f"**{entry['speedup']:.2f}x** |"
-                )
-            else:
-                tail = "— | — | — |"
-            lines.append(
-                f"| `{name}` | {requests} | {seconds:.3f}s | "
-                f"{requests / seconds:.1f} | {tail}"
-            )
-        lines.append("")
-        lines.append(
-            f"The `service/concurrent/*` rows push a {requests}-request "
-            f"workload (the same {batch} payload families round-robined "
-            f"{_CONCURRENT_DUP}x) through `ConcurrentSimulationService` — "
-            "singleflight coalesces cold builds, the batching window merges "
-            "duplicate payloads across worker threads, and `procs_p2` splits "
-            "the workload over two processes sharing one locked store "
-            "directory (zero corrupt reads asserted).  The serial column "
-            "replays the identical workload through a 1-worker `submit()` "
-            "loop, so the speedup is what coalescing buys at the same "
-            "correctness bar (DESIGN.md §3.12)."
-        )
-    lines.append(SERVING_END)
     return "\n".join(lines)
+
+
+README_BEGIN = "<!-- BENCH_core:begin -->"
+README_END = "<!-- BENCH_core:end -->"
+_README_NOTES = """\
+Each baseline is the body its fast path is checked against, timed on the
+same input in the same run, and both must report the same exact columns
+(`repro.bench.perf.default_kernels` says which body each label names).
+`peak RSS` is each kernel's own high-water mark, from its build through
+its first fast body.  Regenerate with `PYTHONPATH=src python -m repro.bench
+--perf --update-readme`.  `--perf --check` fails when an exact column
+changes or a speedup drops more than 25%; best times are compared only
+on a host whose fingerprint matches the committed `environment`."""
 
 
 def render_readme_section(doc: dict) -> str:
     """The README's Performance block, generated from the bench doc."""
-    lines = [
-        README_BEGIN,
-        "",
-        "| kernel | n | m | best time | median | baseline |",
-        "|---|---:|---:|---:|---:|---:|",
-    ]
-    for name, entry in doc["kernels"].items():
-        if "baseline_seconds" in entry:
-            label = _baseline_label(name)
-            baseline = (
-                f"{label} {entry['baseline_seconds']:.3f}s ({entry['speedup']:.2f}x)"
-            )
-        else:
-            baseline = "—"
-        median = (
-            f"{entry['median_seconds']:.3f}s" if "median_seconds" in entry else "—"
-        )
-        lines.append(
-            f"| `{name}` | {entry['n']} | {entry['m']} | "
-            f"{entry['seconds']:.3f}s | {median} | {baseline} |"
-        )
-    flagship = doc.get("flagship")
-    if flagship:
-        lines.append("")
-        lines.append(
-            f"Flagship comparison on `{flagship['kernel']}`: the columnar "
-            f"level engine runs in {flagship['optimized_seconds']:.3f}s vs "
-            f"{flagship['reference_seconds']:.3f}s for the seed recount path — "
-            f"a **{flagship['speedup']:.2f}x** speedup on the same trace-"
-            f"identical output."
-        )
-    lines.append("")
-    lines.append(
-        "`spanner_dist/*` kernels time the message-passing distributed "
-        "`Sampler` (`simulate_sampler`, the oracle of the derived default "
-        "construction, DESIGN.md §3.14) under the "
-        "active-set scheduler; their dense-baseline column times the same "
-        "input with `scheduler=\"dense\"` (identical `RunReport`s, "
-        "DESIGN.md §3.6).  `flood/*` kernels time the Lemma 12 schedule "
-        "derivation and `stretch/*` the exact footnote-1 measurement, both "
-        "on the vector distance plane (NumPy bitset BFS, DESIGN.md §3.7); "
-        "the `n10000`/`n5000` instances are feasible only vectorized.  "
-        "`service/*` kernels time one warm payload batch through "
-        "`SimulationService`; their cold baseline serves the same batch "
-        "with an empty artifact store (DESIGN.md §3.8 — see the Serving "
-        "section).  `service/concurrent/*` kernels push a duplicated "
-        "40-request workload through `ConcurrentSimulationService` at 1 "
-        "and 4 thread workers and across 2 processes sharing one locked "
-        "store directory; their serial baseline replays the identical "
-        "workload through a 1-worker `submit()` loop (DESIGN.md §3.12)."
-        "  `runtime_vec/*` kernels time the array-"
-        "native round engine on a runtime flood (dense `G(n,m)`, the "
-        "paper's `m >> n` regime), a push–pull gossip run, and a "
-        "registered LOCAL algorithm; their reference baseline re-runs "
-        "the identical body on the per-node interpreter "
-        "(`Engines(rounds=\"reference\")`, identical `RunReport`s, "
-        "DESIGN.md §3.10).  `spanner/gnp/n100000` is the scale record: "
-        "one in-process build at 10^5 nodes (DESIGN.md §3.11).  Every "
-        "entry also records `peak_rss_mb` (process high-water RSS); "
-        "gate it with `--memory-budget MB`."
-    )
-    lines.append("")
-    lines.append(
-        "Regenerate with `PYTHONPATH=src python -m repro.bench --perf "
-        "--update-readme`; gate regressions with `--perf --check` "
-        "(fails beyond +25% on any kernel's best time; medians are "
-        "informational).  `--jobs N` times independent kernels in N "
-        "processes — same kernel set, shared machine, so ratchet the "
-        "committed baseline from serial runs."
-    )
-    lines.append(README_END)
-    return "\n".join(lines)
-
-
-def _replace_block(text: str, begin: str, end: str, replacement: str) -> str | None:
-    """``text`` with the ``begin``..``end`` block swapped, or None."""
-    start = text.find(begin)
-    stop = text.find(end)
-    if start == -1 or stop == -1:
-        return None
-    return text[:start] + replacement + text[stop + len(end):]
+    return "\n\n".join([README_BEGIN, format_report(doc), _README_NOTES + "\n" + README_END])
 
 
 def update_readme(doc: dict, readme_path: str = "README.md") -> bool:
-    """Regenerate the marked README blocks; returns True on success.
-
-    The Performance block is mandatory; the Serving block is replaced
-    when its markers exist (it only renders ``service/*`` kernels).
-    """
+    """Regenerate the README's Performance block; True on success."""
     try:
         with open(readme_path, encoding="utf-8") as handle:
             text = handle.read()
     except FileNotFoundError:
         return False
-    rebuilt = _replace_block(text, README_BEGIN, README_END, render_readme_section(doc))
-    if rebuilt is None:
+    start, stop = text.find(README_BEGIN), text.find(README_END)
+    if start == -1 or stop == -1:
         return False
-    with_serving = _replace_block(
-        rebuilt, SERVING_BEGIN, SERVING_END, render_serving_section(doc)
-    )
-    if with_serving is not None:
-        rebuilt = with_serving
     with open(readme_path, "w", encoding="utf-8") as handle:
-        handle.write(rebuilt)
+        handle.write(text[:start] + render_readme_section(doc) + text[stop + len(README_END):])
     return True
 
 
 def main_perf(args) -> int:
     """Entry point used by ``repro.bench.harness`` for ``--perf``."""
-    patterns = parse_filter(getattr(args, "filter", None))
-    repeats = getattr(args, "repeats", None)
-    jobs = getattr(args, "jobs", None) or 1
+    patterns = parse_filter(args.filter)
     doc = run_perf_suite(
         progress=lambda line: print(f"  .. {line}", flush=True),
         filter_patterns=patterns,
-        repeats=repeats,
-        jobs=jobs,
+        repeats=args.repeats,
     )
     sys.stdout.write(format_report(doc) + "\n")
-    budget = getattr(args, "memory_budget", None)
+    budget = args.memory_budget
     if budget is not None:
-        over = {
-            name: entry["peak_rss_mb"]
+        over = [
+            f"  {name}: peak RSS {entry['peak_rss_mb']:.1f} MB\n"
             for name, entry in doc["kernels"].items()
             if entry.get("peak_rss_mb", 0.0) > budget
-        }
+        ]
         if over:
-            sys.stderr.write(
-                f"memory budget exceeded ({budget:.0f} MB):\n"
-            )
-            for name, peak in over.items():
-                sys.stderr.write(f"  {name}: peak RSS {peak:.1f} MB\n")
+            sys.stderr.write(f"memory budget exceeded ({budget:.0f} MB):\n" + "".join(over))
             return 1
-        sys.stdout.write(
-            f"memory check OK: every kernel's peak RSS within "
-            f"{budget:.0f} MB\n"
-        )
+        sys.stdout.write(f"memory check OK: every kernel's peak RSS within {budget:.0f} MB\n")
     if args.check:
         try:
-            with open(args.bench_file, encoding="utf-8") as handle:
+            with open(BENCH_FILE, encoding="utf-8") as handle:
                 committed = json.load(handle)
         except FileNotFoundError:
-            sys.stderr.write(
-                f"--check: no committed {args.bench_file}; run --perf first\n"
-            )
+            sys.stderr.write(f"--check: no committed {BENCH_FILE}; run --perf first\n")
             return 2
         problems = check_against(committed, doc, filter_patterns=patterns)
         if problems:
-            sys.stderr.write("perf regressions detected:\n")
-            for problem in problems:
-                sys.stderr.write(f"  {problem}\n")
+            sys.stderr.write("perf regressions detected:\n" + "".join(f"  {p}\n" for p in problems))
             return 1
-        scope = f" (filter: {', '.join(patterns)})" if patterns else ""
+        same_host = committed.get("environment") == doc["environment"]
         sys.stdout.write(
-            f"perf check OK: no kernel regressed beyond "
-            f"{REGRESSION_TOLERANCE * 100:.0f}% of {args.bench_file}{scope}\n"
+            f"perf check OK against {BENCH_FILE}: exact columns equal, no speedup dropped "
+            f"beyond {REGRESSION_TOLERANCE * 100:.0f}%; best times "
+            f"{'compared' if same_host else 'not compared: the host fingerprint differs'}\n"
         )
         return 0
     if patterns:
-        # A filtered run times a subset; committing it as the baseline
-        # would delete every other kernel's trajectory.
-        sys.stderr.write(
-            "--filter without --check: refusing to overwrite "
-            f"{args.bench_file} with a partial run\n"
-        )
+        # A filtered run measures a subset; committing it as the baseline
+        # would delete every other kernel's record.
+        sys.stderr.write(f"--filter without --check: refusing to overwrite {BENCH_FILE}\n")
         return 2
-    with open(args.bench_file, "w", encoding="utf-8") as handle:
+    with open(BENCH_FILE, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
-    sys.stdout.write(f"wrote {args.bench_file}\n")
+    sys.stdout.write(f"wrote {BENCH_FILE}\n")
     if args.update_readme:
         if update_readme(doc):
             sys.stdout.write("updated README.md Performance section\n")

@@ -4,8 +4,8 @@
 Hot-path PRs should start from data, not guesses::
 
     PYTHONPATH=src python tools/profile_kernel.py spanner_dist/gnp/n2000
-    PYTHONPATH=src python tools/profile_kernel.py scheme/one_stage/gnp --sort tottime
-    PYTHONPATH=src python tools/profile_kernel.py spanner_dist/gnp/n2000 --engine reference
+    PYTHONPATH=src python tools/profile_kernel.py runtime_vec/gossip/n2000 --sort tottime
+    PYTHONPATH=src python tools/profile_kernel.py runtime_vec/gossip/n2000 --baseline
     PYTHONPATH=src python tools/profile_kernel.py spanner/gnp/n100000
     PYTHONPATH=src python tools/profile_kernel.py spanner/gnp/n2000 --top-alloc
     PYTHONPATH=src python tools/profile_kernel.py spanner/gnp/n2000 --obs-trace /tmp/build.trace.json
@@ -13,10 +13,10 @@ Hot-path PRs should start from data, not guesses::
 
 The kernel's ``build()`` (input construction) runs outside the profile;
 only the measured body is profiled — the same split the harness times.
-``--engine`` / ``--distance-engine`` pin the round engine
-(``REPRO_ROUND_ENGINE``) and the distance plane
-(``REPRO_DISTANCE_ENGINE``) for the profiled process, so comparing the
-competing paths needs no env-var juggling.  ``--top-alloc`` swaps the
+``--baseline`` profiles the body the fast path is checked against
+instead: the oracle engine of the ratio kernels (the reference round
+engine of ``runtime_vec/*``, the dense scheduler of ``spanner_dist/*``,
+...).  ``--top-alloc`` swaps the
 time profile for a ``tracemalloc`` allocation profile: the top
 ``--limit`` allocation sites plus the traced-peak size — the place to
 start when a kernel's ``peak_rss_mb`` regresses.
@@ -60,18 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         action="store_true",
-        help="profile the kernel's baseline body instead (e.g. the dense "
-        "scheduler of a spanner_dist kernel)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("vector", "reference"),
-        help="round engine for the profiled run (sets REPRO_ROUND_ENGINE)",
-    )
-    parser.add_argument(
-        "--distance-engine",
-        choices=("vector", "reference"),
-        help="distance plane for the profiled run (sets REPRO_DISTANCE_ENGINE)",
+        help="profile the kernel's baseline body instead: the oracle it is "
+        "checked against (e.g. the reference round engine of a runtime_vec "
+        "kernel, the dense scheduler of a spanner_dist kernel)",
     )
     parser.add_argument(
         "--top-alloc",
@@ -88,13 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Process-wide switches must be pinned before repro imports: kernels
-    # resolve their engines lazily at run time, but keeping the order
-    # strict means a future eager resolver cannot silently ignore them.
-    if args.engine:
-        os.environ["REPRO_ROUND_ENGINE"] = args.engine
-    if args.distance_engine:
-        os.environ["REPRO_DISTANCE_ENGINE"] = args.distance_engine
+    # The telemetry switch is pinned before repro imports, so no
+    # module-level reader can miss it.
     if args.obs_trace:
         os.environ["REPRO_OBS"] = "1"
 
@@ -122,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
 
     built = kernel.build()
     net = _net_of(built)
-    label = f"{kernel.name}{' (baseline)' if args.baseline else ''}"
+    label = f"{kernel.name}{f' ({kernel.label} baseline)' if args.baseline else ''}"
     print(f"profiling {label} on n={net.n}, m={net.m} ...", flush=True)
     if args.obs_trace:
         # The build above ran with spans on too; keep only the body's.
