@@ -9,9 +9,10 @@
   objects, used where only outputs matter (baseline spanner content,
   large sweeps).  Identical results by construction, which tests check.
 
-Both derive node tapes as ``RngFactory(seed).stream("tape", node)`` —
-the same derivation the message-reduction transformer uses, so outputs
-are comparable bit for bit across all three execution modes.
+Both derive node tapes as ``RngFactory(seed).stream("tape", node)``,
+hashed once per run under :func:`node_tapes` — the same derivation the
+message-reduction transformer uses, so outputs are comparable bit for
+bit across all three execution modes.
 """
 
 from __future__ import annotations
@@ -24,19 +25,22 @@ from repro.engines import Engines
 from repro.errors import ProtocolError
 from repro.local.engine import VectorRuntime
 from repro.local.faults import FaultPlan
+from repro.local.knowledge import Knowledge
 from repro.local.message import Inbound
 from repro.local.metrics import MessageStats, RunReport
 from repro.local.network import Network
 from repro.local.node import Context, NodeProgram
 from repro.local.runtime import run_program
-from repro.rng import RngFactory
+from repro.rng import RngFactory, RngPrefix
 
-__all__ = ["run_direct", "run_inprocess", "DirectOutcome", "node_tape"]
+__all__ = ["run_direct", "run_inprocess", "DirectOutcome", "node_tapes"]
 
 
-def node_tape(seed: int, node: int):
-    """The canonical per-node randomness tape (shared across backends)."""
-    return RngFactory(seed).stream("tape", node)
+def node_tapes(seed: int) -> RngPrefix:
+    """The canonical per-node randomness tapes (shared across backends):
+    ``node_tapes(seed).stream(v)`` is ``RngFactory(seed).stream("tape", v)``
+    with the ``(seed, "tape")`` prefix hashed once."""
+    return RngFactory(seed).prefix("tape")
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,12 @@ class DirectOutcome:
 class _AlgorithmProgram(NodeProgram):
     """Adapter: pure LocalAlgorithm -> kernel NodeProgram."""
 
-    def __init__(self, node: int, algo: LocalAlgorithm, seed: int, t: int) -> None:
+    def __init__(
+        self, node: int, algo: LocalAlgorithm, tapes: RngPrefix, t: int
+    ) -> None:
         self._node = node
         self._algo = algo
-        self._seed = seed
+        self._tapes = tapes
         self._t = t
         self._state: Any = None
         self._out: Any = None
@@ -67,7 +73,7 @@ class _AlgorithmProgram(NodeProgram):
 
     def on_start(self, ctx: Context) -> None:
         info = NodeInit(node=ctx.node, ports=tuple(ctx.ports), n=ctx.n_hint)
-        self._state = self._algo.init(info, node_tape(self._seed, ctx.node))
+        self._state = self._algo.init(info, self._tapes.stream(ctx.node))
         self._state, outbox = self._algo.step(self._state, 0, {})
         if self._t == 0:
             self._finish(ctx)
@@ -144,7 +150,9 @@ def run_direct(
     if engines.rounds == "vector" and not plan.can_corrupt:
         from repro.algorithms.vector import vector_population
 
-        population = vector_population(algo, network, seed)
+        population = vector_population(
+            algo, network, seed, port_labels=network.knowledge is Knowledge.KT0
+        )
         if population is not None:
             report = VectorRuntime(
                 network, population, max_rounds=t + 2, faults=faults
@@ -154,9 +162,10 @@ def run_direct(
                 messages=report.messages,
                 rounds=report.rounds,
             )
+    tapes = node_tapes(seed)
     report: RunReport = run_program(
         network,
-        lambda node: _AlgorithmProgram(node, algo, seed, t),
+        lambda node: _AlgorithmProgram(node, algo, tapes, t),
         seed=seed,
         max_rounds=t + 2,
         faults=faults,
@@ -179,21 +188,20 @@ def run_inprocess(
     populations (same outputs, no per-node Python stepping); everything
     else runs the original message-free loop.
     """
-    if Engines.resolve(engines).rounds == "vector":
-        from repro.algorithms.vector import vector_population
+    from repro.algorithms.vector import inprocess_engine, vector_population
 
-        population = vector_population(algo, network, seed)
-        if population is not None:
-            t = algo.rounds(network.n)
-            return VectorRuntime(
-                network, population, max_rounds=t + 2
-            ).run().outputs
+    if inprocess_engine(algo, engines) == "vector":
+        t = algo.rounds(network.n)
+        return VectorRuntime(
+            network, vector_population(algo, network, seed), max_rounds=t + 2
+        ).run().outputs
     n = network.n
     t = algo.rounds(n)
+    tapes = node_tapes(seed)
     states: list[Any] = []
     for node in network.nodes():
         info = NodeInit(node=node, ports=tuple(network.incident(node)), n=n)
-        states.append(algo.init(info, node_tape(seed, node)))
+        states.append(algo.init(info, tapes.stream(node)))
     inboxes: list[dict[int, Any]] = [{} for _ in range(n)]
     for r in range(t + 1):
         next_inboxes: list[dict[int, Any]] = [{} for _ in range(n)]

@@ -1,29 +1,36 @@
-"""Vector populations for the array-friendly algorithms library entries.
+"""Vector populations for the library's LOCAL algorithms.
 
 Each class here is the struct-of-arrays twin of one
 :class:`~repro.algorithms.base.LocalAlgorithm` run through
 ``_AlgorithmProgram``: same round structure (``algo.step(r)`` for
 ``r = 0..t``, step-``t`` outbox discarded, every node halts after step
-``t``), same per-node randomness (coloring pre-draws from the identical
-``node_tape`` stream), same outputs — so
+``t``), same per-node randomness (coloring, Luby MIS and matching
+pre-draw their coins from the identical
+:func:`~repro.algorithms.runner.node_tapes` stream, in the reference
+``init`` order), same outputs — so
 :func:`~repro.algorithms.runner.run_direct` is RunReport-identical
-across engines.
+across engines, drop plans included: every twin computes a round from
+the delivered :class:`PopulationInbox`, never from the graph.
 
 A message in these populations always carries "the value its sender
 last announced", so no payload columns ride on the outbox: the
 population keeps one ``sent_*`` array per node and delivered rows read
 ``sent_*[sender]``.  That works because sends of round ``r`` are
 delivered in round ``r + 1``, *before* the sender's next announcement
-is written.
+is written.  Luby MIS and matching track per-port state (the reference
+``live_ports``/``live`` sets) as one flag per incidence-CSR *slot*;
+their outboxes carry the sender's slot as ``data``, and
+``_twin[slot]`` is the receiver's slot of the same edge.
 
 :func:`vector_population` is the registry lookup the runner dispatches
-through; algorithms without an entry (Luby MIS, matching, Baswana–Sen)
-simply fall back to the reference interpreter.
+through; algorithms without an entry (e.g. Baswana–Sen's clustering
+program) fall back to the reference interpreter.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import random
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,15 +38,49 @@ from repro.algorithms.aggregation import BallCollect, MinIdAggregation
 from repro.algorithms.base import LocalAlgorithm
 from repro.algorithms.bfs import BfsLayers
 from repro.algorithms.coloring import RandomizedColoring
+from repro.algorithms.matching import RandomMatching
+from repro.algorithms.mis import LubyMis
+from repro.algorithms.runner import node_tapes
+from repro.engines import Engines
 from repro.local.engine import (
     PopulationInbox,
     PopulationOutbox,
     VectorProgram,
     broadcast_outbox,
+    gather_segments,
 )
 from repro.local.network import Network
 
-__all__ = ["vector_population"]
+__all__ = ["inprocess_engine", "vector_population"]
+
+
+def _tape_draws(
+    seed: int,
+    n: int,
+    width: int,
+    draw: Callable[[int, random.Random], list],
+    dtype: type,
+) -> np.ndarray:
+    """``(n, width)`` coins: row ``v`` is ``draw(v, tape_v)`` on node
+    ``v``'s tape, i.e. the reference ``init``'s pre-draws in order.
+
+    One ``Random`` is re-seeded per node: the same state as a fresh
+    ``node_tapes(seed).stream(v)``, without the per-node allocation.
+    """
+    child_seed = node_tapes(seed).child_seed
+    tape = random.Random()
+    rows = []
+    for v in range(n):
+        tape.seed(child_seed(v))
+        rows.append(draw(v, tape))
+    return np.array(rows, dtype=dtype).reshape(n, width)
+
+
+def _with_none(values: list, missing: np.ndarray) -> dict[int, Any]:
+    """``{v: values[v]}`` with ``None`` at the ``missing`` nodes."""
+    for v in np.flatnonzero(missing).tolist():
+        values[v] = None
+    return dict(enumerate(values))
 
 
 class _AlgoPopulation(VectorProgram):
@@ -69,6 +110,48 @@ class _AlgoPopulation(VectorProgram):
     @property
     def live(self) -> int:
         return self._live
+
+
+class _SlotPopulation(_AlgoPopulation):
+    """Per-port state as one flag per incidence-CSR slot.
+
+    Slot ``s`` is ``(owner[s], inc[s])``; a node's slots are its
+    incident edges in ascending id, the reference ``sorted(ports)``
+    order.  ``_slot_live`` mirrors the reference's per-node set of
+    live ports.
+    """
+
+    def __init__(self, algo: LocalAlgorithm, network: Network) -> None:
+        super().__init__(algo, network)
+        slots = self._inc.size
+        self._slots = np.arange(slots, dtype=np.int64)
+        self._owner = np.repeat(np.arange(self._n, dtype=np.int64), self._degs)
+        # Each edge id fills exactly two slots (no self-loops): sorted by
+        # (eid, owner) they pair up, and each is the other's twin.
+        order = np.lexsort((self._owner, self._inc))
+        self._twin = np.empty(slots, dtype=np.int64)
+        self._twin[order[0::2]] = order[1::2]
+        self._twin[order[1::2]] = order[0::2]
+        self._slot_live = np.ones(slots, dtype=bool)
+
+    def _received_slots(self, inbox: PopulationInbox) -> np.ndarray:
+        """Receiver-side slot of every delivered row."""
+        if inbox.rows.size == 0:  # nothing in flight: no outbox data
+            return inbox.rows
+        return self._twin[inbox.data[inbox.rows]]
+
+    def _send(self, senders: np.ndarray, slots: np.ndarray) -> PopulationOutbox | None:
+        if slots.size == 0:
+            return None
+        return PopulationOutbox(eids=self._inc[slots], senders=senders, data=slots)
+
+    def _send_all(self, nodes: np.ndarray, live_only: bool) -> PopulationOutbox | None:
+        """``nodes`` (ascending) send on every (live) port, eid order."""
+        owners, slots = gather_segments(self._indptr, self._slots, nodes)
+        if live_only:
+            keep = self._slot_live[slots]
+            owners, slots = owners[keep], slots[keep]
+        return self._send(owners, slots)
 
 
 class _VectorBfs(_AlgoPopulation):
@@ -104,10 +187,7 @@ class _VectorBfs(_AlgoPopulation):
         return self._broadcast(newly) if newly.size else None
 
     def outputs(self) -> dict[int, int | None]:
-        dist = self._dist
-        return {
-            v: (int(dist[v]) if dist[v] >= 0 else None) for v in range(self._n)
-        }
+        return _with_none(self._dist.tolist(), self._dist < 0)
 
 
 class _VectorMinId(_AlgoPopulation):
@@ -144,7 +224,7 @@ class _VectorMinId(_AlgoPopulation):
         return self._broadcast(changed)
 
     def outputs(self) -> dict[int, int]:
-        return {v: int(self._best[v]) for v in range(self._n)}
+        return dict(enumerate(self._best.tolist()))
 
 
 class _VectorBallCollect(_AlgoPopulation):
@@ -188,13 +268,17 @@ class _VectorBallCollect(_AlgoPopulation):
         return self._broadcast(emitters) if emitters.size else None
 
     def outputs(self) -> dict[int, tuple[int, ...]]:
-        bits = np.unpackbits(
-            self._known.view(np.uint8), axis=1, bitorder="little"
-        )[:, : self._n]
-        return {
-            v: tuple(int(o) for o in np.flatnonzero(bits[v]))
-            for v in range(self._n)
-        }
+        width = 64 * self._known.shape[1]
+        # One scan over all rows (the padding bits past n are never
+        # set); row-major order keeps each node's origins ascending.
+        bits = np.unpackbits(self._known.view(np.uint8), bitorder="little")
+        origins = np.flatnonzero(bits.view(bool))
+        row_ends = width * np.arange(1, self._n + 1, dtype=np.int64)
+        ends = np.searchsorted(origins, row_ends).tolist()
+        origins %= width
+        flat = tuple(origins.tolist())  # tuple slices are the outputs
+        starts = [0, *ends[:-1]]
+        return {v: flat[a:b] for v, (a, b) in enumerate(zip(starts, ends))}
 
 
 class _VectorColoring(_AlgoPopulation):
@@ -210,20 +294,20 @@ class _VectorColoring(_AlgoPopulation):
         self, algo: RandomizedColoring, network: Network, seed: int
     ) -> None:
         super().__init__(algo, network)
-        from repro.algorithms.runner import node_tape
-
         n, t = self._n, self._t
         self._palette = self._degs + 1
         max_palette = int(self._palette.max()) if n else 1
         self._words = (max_palette + 63) // 64
         # Identical coin consumption to the reference init: one
         # randrange(palette) per node per round 0..t.
-        draws = np.empty((n, t + 1), dtype=np.int64)
-        for v in range(n):
-            tape = node_tape(seed, v)
-            pal = int(self._palette[v])
-            draws[v] = [tape.randrange(pal) for _ in range(t + 1)]
-        self._draws = draws
+        palette = self._palette.tolist()
+        self._draws = _tape_draws(
+            seed,
+            n,
+            t + 1,
+            lambda v, tape: [tape.randrange(palette[v]) for _ in range(t + 1)],
+            np.int64,
+        )
         self._fixed = np.full(n, -1, dtype=np.int64)
         self._proposal = np.full(n, -1, dtype=np.int64)
         self._nfixed = np.zeros((n, self._words), dtype=np.uint64)
@@ -307,27 +391,206 @@ class _VectorColoring(_AlgoPopulation):
         return self._emit_round(round_index)
 
     def outputs(self) -> dict[int, int | None]:
-        fixed = self._fixed
-        return {
-            v: (int(fixed[v]) if fixed[v] >= 0 else None)
-            for v in range(self._n)
-        }
+        return _with_none(self._fixed.tolist(), self._fixed < 0)
 
 
+_UNDECIDED, _IN, _OUT = 0, 1, 2
+
+
+class _VectorLubyMis(_SlotPopulation):
+    """:class:`LubyMis`: even rounds absorb winners and announce
+    priorities on live ports, odd rounds crown the local maxima.
+
+    A round's inbox holds one message kind (priorities after an even
+    round, winner notes after an odd one), so rows need no payload: a
+    priority row reads ``_prio[sender, phase]``.
+    """
+
+    def __init__(self, algo: LubyMis, network: Network, seed: int) -> None:
+        super().__init__(algo, network)
+        phases = algo.phases(self._n)
+        self._prio = _tape_draws(
+            seed,
+            self._n,
+            phases,
+            lambda v, tape: [tape.random() for _ in range(phases)],
+            np.float64,
+        )
+        self._status = np.full(self._n, _UNDECIDED, dtype=np.int8)
+
+    def _announce(self) -> PopulationOutbox | None:
+        undecided = np.flatnonzero(self._status == _UNDECIDED)
+        return self._send_all(undecided, live_only=True)
+
+    def on_start(self) -> PopulationOutbox | None:
+        if self._t == 0:
+            return None
+        return self._announce()
+
+    def step_population(
+        self, round_index: int, inbox: PopulationInbox
+    ) -> PopulationOutbox | None:
+        receivers = self._receivers(inbox)
+        slots = self._received_slots(inbox)
+        # Only rows on a port the receiver still holds live count.
+        on_live = self._slot_live[slots]
+        if round_index % 2 == 0:
+            lost = slots[on_live]
+            losers = receivers[on_live]
+            self._status[losers[self._status[losers] == _UNDECIDED]] = _OUT
+            self._slot_live[lost] = False
+            if round_index >= self._t:
+                self._live = 0
+                return None
+            return self._announce()
+        phase = (round_index - 1) // 2
+        prio = self._prio[:, phase]
+        beaten = on_live & (prio[inbox.senders] >= prio[receivers])
+        contenders = self._status == _UNDECIDED
+        contenders[receivers[beaten]] = False
+        winners = np.flatnonzero(contenders)
+        self._status[winners] = _IN
+        # t = 2 * phases is even, so an odd round always emits.
+        return self._send_all(winners, live_only=True)
+
+    def outputs(self) -> dict[int, bool | None]:
+        label = (None, True, False)
+        return dict(enumerate(label[s] for s in self._status.tolist()))
+
+
+class _VectorMatching(_SlotPopulation):
+    """:class:`RandomMatching`: propose / accept / announce per phase.
+
+    The proposal of a free proposer is its ``(draw >> 1) % |live|``-th
+    live slot — a masked rank over the eid-sorted CSR row, read off one
+    cumulative count of live slots.  With ``port_labels`` the matched
+    edge is reported as the local port index, as node programs on a
+    ``KT0`` network see it, instead of the global edge id.
+    """
+
+    def __init__(
+        self,
+        algo: RandomMatching,
+        network: Network,
+        seed: int,
+        port_labels: bool = False,
+    ) -> None:
+        super().__init__(algo, network)
+        self._port_labels = port_labels
+        n = self._n
+        phases = algo.phases(n)
+        self._draws = _tape_draws(
+            seed,
+            n,
+            phases,
+            lambda v, tape: [tape.randrange(2**30) for _ in range(phases)],
+            np.int64,
+        )
+        self._matched = np.full(n, -1, dtype=np.int64)  # matched slot
+        self._proposal = np.full(n, -1, dtype=np.int64)  # proposed slot
+        self._acceptor = np.zeros(n, dtype=bool)
+        self._announced = np.zeros(n, dtype=bool)
+
+    def _take_roles(self, round_index: int) -> PopulationOutbox | None:
+        """Stage 0: free nodes flip roles, proposers propose."""
+        indptr = self._indptr
+        cum = np.zeros(self._slots.size + 1, dtype=np.int64)
+        np.cumsum(self._slot_live, out=cum[1:])
+        before = cum[indptr[:-1]]
+        count = cum[indptr[1:]] - before
+        free = np.flatnonzero((self._matched < 0) & (count > 0))
+        draw = self._draws[free, round_index // 3]
+        odd = (draw & 1).astype(bool)
+        self._acceptor[free[odd]] = True
+        proposers = free[~odd]
+        rank = before[proposers] + (draw[~odd] >> 1) % count[proposers]
+        # The first prefix position whose count exceeds the rank is one
+        # past the rank-th live slot.
+        slots = np.searchsorted(cum, rank + 1) - 1
+        self._proposal[proposers] = slots
+        return self._send(proposers, slots)
+
+    def on_start(self) -> PopulationOutbox | None:
+        if self._t == 0:
+            return None
+        return self._take_roles(0)
+
+    def step_population(
+        self, round_index: int, inbox: PopulationInbox
+    ) -> PopulationOutbox | None:
+        receivers = self._receivers(inbox)
+        slots = self._received_slots(inbox)
+        stage = round_index % 3
+        if stage == 0:
+            self._slot_live[slots] = False  # "matched" announcements
+            self._proposal[:] = -1
+            self._acceptor[:] = False
+            if round_index >= self._t:
+                self._live = 0
+                return None
+            return self._take_roles(round_index)
+        if stage == 1:
+            # Binding accept of the smallest proposing edge.
+            if slots.size == 0:
+                return None
+            starts = np.flatnonzero(np.r_[True, receivers[1:] != receivers[:-1]])
+            first = np.minimum.reduceat(slots, starts)
+            uniq = receivers[starts]
+            accept = self._acceptor[uniq] & (self._matched[uniq] < 0)
+            acceptors, chosen = uniq[accept], first[accept]
+            self._matched[acceptors] = chosen
+            return self._send(acceptors, chosen)
+        accepted = (self._matched[receivers] < 0) & (
+            self._proposal[receivers] == slots
+        )
+        self._matched[receivers[accepted]] = slots[accepted]
+        newly = np.flatnonzero((self._matched >= 0) & ~self._announced)
+        self._announced[newly] = True
+        return self._send_all(newly, live_only=False)
+
+    def outputs(self) -> dict[int, int | None]:
+        matched = self._matched
+        if self._port_labels:  # KT0: a port is the slot's rank in its row
+            labels = self._slots - self._indptr[self._owner]
+        else:
+            labels = self._inc
+        return _with_none(labels[matched].tolist(), matched < 0)
+
+
+# Builders take ``(algo, network, seed, port_labels)``.
 _BUILDERS: dict[type, Callable[..., VectorProgram]] = {
-    BfsLayers: lambda algo, network, seed: _VectorBfs(algo, network),
-    MinIdAggregation: lambda algo, network, seed: _VectorMinId(algo, network),
-    BallCollect: lambda algo, network, seed: _VectorBallCollect(algo, network),
-    RandomizedColoring: _VectorColoring,
+    BfsLayers: lambda algo, network, seed, ports: _VectorBfs(algo, network),
+    MinIdAggregation: lambda algo, network, seed, ports: _VectorMinId(algo, network),
+    BallCollect: lambda algo, network, seed, ports: _VectorBallCollect(algo, network),
+    RandomizedColoring: lambda algo, network, seed, ports: _VectorColoring(
+        algo, network, seed
+    ),
+    LubyMis: lambda algo, network, seed, ports: _VectorLubyMis(algo, network, seed),
+    RandomMatching: _VectorMatching,
 }
 
 
+def inprocess_engine(algo: LocalAlgorithm, engines: Engines | None = None) -> str:
+    """The round engine :func:`~repro.algorithms.runner.run_inprocess`
+    executes ``algo`` on: ``"vector"`` when ``engines.rounds`` (default
+    :meth:`Engines.from_env`) is vector and ``algo`` has a registered
+    twin, else ``"reference"``."""
+    if Engines.resolve(engines).rounds == "vector" and type(algo) in _BUILDERS:
+        return "vector"
+    return "reference"
+
+
 def vector_population(
-    algo: LocalAlgorithm, network: Network, seed: int
+    algo: LocalAlgorithm, network: Network, seed: int, *, port_labels: bool = False
 ) -> VectorProgram | None:
     """The vector twin of ``algo``, or ``None`` when only the reference
-    interpreter can execute it (unregistered algorithm class)."""
+    interpreter can execute it (unregistered algorithm class).
+
+    ``port_labels`` makes outputs that name an edge (matching) report
+    the node's local port index, as node programs on a ``KT0`` network
+    see it, instead of the global edge id.
+    """
     builder = _BUILDERS.get(type(algo))
     if builder is None:
         return None
-    return builder(algo, network, seed)
+    return builder(algo, network, seed, port_labels)

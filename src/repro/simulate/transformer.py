@@ -40,8 +40,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
-from repro.algorithms.runner import node_tape, run_inprocess
+from repro.algorithms.runner import node_tapes, run_inprocess
+from repro.algorithms.vector import inprocess_engine
 from repro.engines import Engines
 from repro.graphs.distance import BallFamily, adjacency_csr, ball_matrix_blocks
 from repro.local.metrics import MessageStats
@@ -148,7 +150,15 @@ def simulate_over_spanner(
             f"precomputed schedule covers radius {schedule.rounds}, "
             f"this simulation floods radius {flood_radius}"
         )
-    outputs = _replay_shared(network, algo, t, seed, schedule, engines=engines)
+    with obs.span("simulate/payload", algo=algo.name, n=network.n) as payload_span:
+        outputs, fallbacks = _replay_shared(
+            network, algo, t, seed, schedule, engines=engines
+        )
+        if fallbacks == network.n:
+            replay = "none"  # every center replayed its own ball
+        else:
+            replay = inprocess_engine(algo, engines)
+        payload_span.set(replay=replay, fallback_centers=fallbacks)
     return SimulationOutcome(
         outputs=outputs,
         messages=schedule.messages,
@@ -166,8 +176,10 @@ def _replay_shared(
     schedule: FloodSchedule,
     *,
     engines: Engines,
-) -> dict[int, Any]:
-    """One global replay serving every center whose ball is covered.
+) -> tuple[dict[int, Any], int]:
+    """One global replay serving every center whose ball is covered;
+    returns the outputs and the number of centers that fell back to a
+    literal :func:`replay_ball`.
 
     A center whose collected ball contains its exact ``B_t`` in ``G``
     reconstructs precisely the network's adjacency restricted to that
@@ -242,7 +254,7 @@ def _replay_shared(
     for center in uncovered:
         reports = {x: network.incident(x) for x in family[center]}
         outputs[center] = replay_ball(algo, center, reports, t, seed, n)
-    return outputs
+    return outputs, len(uncovered)
 
 
 def replay_ball(
@@ -287,10 +299,11 @@ def replay_ball(
     ball = set(dist)
 
     # Replay: node u is stepped at round r while r <= t - dist[u].
+    tapes = node_tapes(seed)
     states: dict[int, Any] = {}
     for node in ball:
         info = NodeInit(node=node, ports=tuple(reports[node]), n=n)
-        states[node] = algo.init(info, node_tape(seed, node))
+        states[node] = algo.init(info, tapes.stream(node))
     endpoint_of: dict[tuple[int, int], int] = {}
     for eid, ends in owners.items():
         if len(ends) == 2:

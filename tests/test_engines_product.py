@@ -18,7 +18,15 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algorithms import LubyMis, MinIdAggregation, RandomizedColoring, run_direct
+from repro.algorithms import (
+    LocalAlgorithm,
+    LubyMis,
+    MinIdAggregation,
+    RandomMatching,
+    RandomizedColoring,
+    run_direct,
+)
+from repro.algorithms.vector import inprocess_engine
 from repro.core import SamplerParams
 from repro.engines import (
     DISTANCE_ENGINES,
@@ -44,10 +52,41 @@ FAMILIES = {
     "ba": lambda seed: barabasi_albert(40, 2, seed=seed),
     "caveman": lambda seed: caveman(4, 6),
 }
-# Two registered vector populations and one algorithm only the
+
+
+class MaxToken(LocalAlgorithm):
+    """Flood the largest tape-drawn token for two rounds.  It has no
+    vector twin, so every round engine runs it on the reference
+    interpreter: the product keeps that branch of the fast replay."""
+
+    name = "max-token"
+
+    def rounds(self, n):
+        return 2
+
+    def init(self, info, tape):
+        return {"ports": info.ports, "token": tape.randrange(1000), "changed": True}
+
+    def step(self, state, r, inbox):
+        best = max([state["token"], *inbox.values()])
+        state["changed"] = state["changed"] or best != state["token"]
+        state["token"] = best
+        outbox = {}
+        if state["changed"]:
+            outbox = {eid: best for eid in state["ports"]}
+            state["changed"] = False
+        return state, outbox
+
+    def output(self, state):
+        return state["token"]
+
+
+# Four registered vector populations and one algorithm only the
 # reference interpreter runs, so the fast replay takes both paths.
 PAYLOADS = {
     "coloring": lambda: RandomizedColoring(2),
+    "matching": lambda: RandomMatching(1),
+    "maxtoken": MaxToken,
     "minid": lambda: MinIdAggregation(2),
     "mis": lambda: LubyMis(1),
 }
@@ -72,6 +111,14 @@ def test_product_has_eight_distinct_configs():
     assert len(set(PRODUCT)) == 8
     assert ORACLE in PRODUCT
     assert Engines() in PRODUCT
+
+
+def test_payloads_cover_both_replay_branches():
+    vector = Engines(rounds="vector")
+    replay = {name: inprocess_engine(make(), vector) for name, make in PAYLOADS.items()}
+    assert replay == {
+        name: "reference" if name == "maxtoken" else "vector" for name in PAYLOADS
+    }
 
 
 @_SETTINGS

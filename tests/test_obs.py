@@ -12,15 +12,17 @@ spans.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
-from repro.algorithms import MinIdAggregation
+from repro.algorithms import LubyMis, MinIdAggregation
 from repro.core import SamplerParams, build_spanner
+from repro.engines import Engines
 from repro.graphs import erdos_renyi
 from repro.local.metrics import MessageStats
-from repro.simulate import run_one_stage
+from repro.simulate import run_one_stage, simulate_over_spanner, transformer
 from repro.store import ArtifactStore
 
 PARAMS = SamplerParams(k=2, h=2, seed=3)
@@ -352,3 +354,66 @@ class TestServiceIntegration:
         chrome = tmp_path / "merged.trace.json"
         assert obs.write_chrome_trace(records, chrome) == count
         assert obs.validate_chrome_trace(chrome) == count
+
+
+class TestPayloadSpan:
+    """``simulate/payload`` wraps the fast engine's shared replay: which
+    engine ran the payload, and how many centers fell back to a literal
+    :func:`~repro.simulate.transformer.replay_ball`."""
+
+    @staticmethod
+    def _payload_spans():
+        return [r for r in obs.collector().finished() if r["name"] == "simulate/payload"]
+
+    @pytest.mark.parametrize(
+        "rounds,algo,replay",
+        [
+            ("vector", LubyMis(1), "vector"),
+            ("reference", LubyMis(1), "reference"),
+            # a subclass is not registered: the vector engine falls back
+            ("vector", type("Unregistered", (MinIdAggregation,), {})(2), "reference"),
+        ],
+    )
+    def test_names_the_replay_engine(self, net, obs_on, rounds, algo, replay):
+        engines = replace(Engines.from_env(), simulation="fast", rounds=rounds)
+        run_one_stage(net, algo, params=PARAMS, seed=0, engines=engines)
+        (span,) = self._payload_spans()
+        assert span["attrs"] == {
+            "algo": algo.name,
+            "n": net.n,
+            "replay": replay,
+            "fallback_centers": 0,
+        }
+        (scheme,) = [
+            r for r in obs.collector().finished() if r["name"] == "scheme/one_stage"
+        ]
+        assert span["parent"] == scheme["id"]
+
+    @pytest.mark.parametrize("radius,replay", [(2, "none"), (5, "vector")])
+    def test_counts_fallback_centers(self, net, obs_on, monkeypatch, radius, replay):
+        centers = []
+        literal = transformer.replay_ball
+
+        def counted(algo, center, *args):
+            centers.append(center)
+            return literal(algo, center, *args)
+
+        monkeypatch.setattr(transformer, "replay_ball", counted)
+        # Half the edges flooded over few rounds leaves centers uncovered.
+        simulate_over_spanner(
+            net,
+            net.edge_ids[::2],
+            alpha=1,
+            algo=MinIdAggregation(2),
+            seed=0,
+            radius=radius,
+            engines=replace(Engines.from_env(), simulation="fast", rounds="vector"),
+        )
+        (span,) = self._payload_spans()
+        assert span["attrs"]["replay"] == replay
+        assert span["attrs"]["fallback_centers"] == len(centers) > 0
+        assert (len(centers) == net.n) == (replay == "none")
+
+    def test_off_by_default_records_nothing(self, net, obs_off):
+        run_one_stage(net, LubyMis(1), params=PARAMS, seed=0)
+        assert obs.collector().finished() == []

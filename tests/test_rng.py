@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
+from repro.algorithms.runner import node_tapes
 from repro.rng import RngFactory, derive_seed, stable_uniform
 
 
@@ -80,3 +84,47 @@ class TestRngFactory:
     def test_requires_int_seed(self):
         with pytest.raises(TypeError):
             RngFactory("seed")  # type: ignore[arg-type]
+
+
+class TestRngPrefix:
+    SEEDS = (0, 1, 7, 123456789, 2**63 + 5)
+
+    def test_encoding_is_pinned(self):
+        # The canonical encoding, spelled out: root, then NUL + tagged part.
+        hasher = hashlib.blake2b(digest_size=8)
+        for chunk in (b"i-3", b"\x00", b"stape", b"\x00", b"i42", b"\x00", b"o1"):
+            hasher.update(chunk)
+        expected = int.from_bytes(hasher.digest(), "big")
+        assert derive_seed(-3, ("tape", 42, True)) == expected
+        assert RngFactory(-3).prefix("tape").child_seed(42, True) == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_child_seed_equals_derive_seed(self, seed):
+        prefix = RngFactory(seed).prefix("trials", 3)
+        for suffix in ((0,), (-1,), (2**70,), (True,), (False,), ("x",), (b"y", 9)):
+            assert prefix.child_seed(*suffix) == derive_seed(
+                seed, ("trials", 3, *suffix)
+            )
+        assert prefix.uniform(4) == stable_uniform(seed, ("trials", 3, 4))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_node_tapes_equal_factory_streams(self, seed):
+        tapes = node_tapes(seed)
+        factory = RngFactory(seed)
+        for node in (0, 1, 2, 17, 1999):
+            assert tapes.child_seed(node) == derive_seed(seed, ("tape", node))
+            ours, theirs = tapes.stream(node), factory.stream("tape", node)
+            assert [ours.random() for _ in range(4)] == [
+                theirs.random() for _ in range(4)
+            ]
+            assert ours.randrange(2**30) == theirs.randrange(2**30)
+
+    def test_reseeding_one_tape_equals_fresh_streams(self):
+        # The vector twins reuse one Random per run, re-seeded per node.
+        tapes = node_tapes(11)
+        shared = random.Random()
+        for node in range(5):
+            shared.seed(tapes.child_seed(node))
+            fresh = tapes.stream(node)
+            assert shared.randrange(2**30) == fresh.randrange(2**30)
+            assert shared.random() == fresh.random()

@@ -26,7 +26,10 @@ from repro.algorithms import (
     RandomMatching,
     RandomizedColoring,
     run_direct,
+    run_inprocess,
 )
+from repro.algorithms.runner import _AlgorithmProgram, node_tapes
+from repro.algorithms.vector import vector_population
 from repro.core import SamplerParams
 from repro.core.distributed import simulate_sampler
 from repro.core.distributed.program import SamplerProgram
@@ -34,7 +37,7 @@ from repro.core.distributed.schedule import Schedule
 from repro.engines import Engines
 from repro.errors import ProtocolError
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
-from repro.local import FaultPlan, Network
+from repro.local import FaultPlan, Knowledge, Network
 from repro.local.engine import VectorRuntime, resolve_round_engine
 from repro.local.runtime import run_program
 from repro.simulate import t_local_broadcast
@@ -101,6 +104,23 @@ def run_gossip(net: Network, rounds: int, seed: int, faults, engine: str):
         seed=seed,
         fixed_rounds=rounds,
         max_rounds=rounds + 1,
+        faults=faults,
+    )
+
+
+def run_algorithm(net: Network, algo, seed: int, faults, engine: str):
+    """Full-RunReport algorithm run (run_direct drops ``halted``)."""
+    t = algo.rounds(net.n)
+    if engine == "vector":
+        population = vector_population(algo, net, seed)
+        assert population is not None, f"{algo.name} has no vector twin"
+        return VectorRuntime(net, population, max_rounds=t + 2, faults=faults).run()
+    tapes = node_tapes(seed)
+    return run_program(
+        net,
+        lambda node: _AlgorithmProgram(node, algo, tapes, t),
+        seed=seed,
+        max_rounds=t + 2,
         faults=faults,
     )
 
@@ -315,6 +335,60 @@ class TestAlgorithmEngine:
             assert vec.outputs == ref.outputs
             assert vec.rounds == ref.rounds
             assert vec.messages.per_round == ref.messages.per_round
+
+    # Luby MIS and matching twins: default and zero phase counts, an
+    # input with isolated nodes, with and without a drop plan.
+    TWIN_CASES = {
+        "mis-default": (LubyMis, None),
+        "mis-t0": (LubyMis, 0),
+        "matching-default": (RandomMatching, None),
+        "matching-t0": (RandomMatching, 0),
+    }
+    TWIN_NETS = {
+        "gnp": FAMILIES["gnp"],
+        # 30 nodes, 20 edges: several nodes have no port at all.
+        "gnm-isolated": lambda: dense_gnm(30, 20, seed=4, connected=False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TWIN_CASES))
+    @pytest.mark.parametrize("family", sorted(TWIN_NETS))
+    @pytest.mark.parametrize("plan", ["none", "drops"])
+    def test_mis_and_matching_twins(self, case, family, plan):
+        cls, phases = self.TWIN_CASES[case]
+        net = self.TWIN_NETS[family]()
+        if family == "gnm-isolated":
+            assert min(net.degree(v) for v in range(net.n)) == 0
+        algo = cls(phases)
+        dropped = 0
+        for seed in SEEDS:
+            vec = run_algorithm(net, algo, seed, PLANS[plan], "vector")
+            ref = run_algorithm(net, algo, seed, PLANS[plan], "reference")
+            assert_reports_equal(vec, ref)
+            dropped += ref.messages.dropped
+        if plan == "drops" and algo.rounds(net.n) > 0:
+            assert dropped > 0  # the plan actually bit
+
+    def test_matching_reports_kt0_port_labels(self):
+        net = FAMILIES["gnp"]().with_knowledge(Knowledge.KT0)
+        vec = run_direct(net, RandomMatching(), seed=3, engines=VECTOR)
+        ref = run_direct(net, RandomMatching(), seed=3, engines=REFERENCE)
+        assert vec == ref
+        assert any(port is not None for port in vec.outputs.values())
+
+    SERVE_FAMILIES = (
+        MinIdAggregation(3),
+        RandomMatching(1),
+        RandomizedColoring(2),
+        BfsLayers(0, 2),
+        LubyMis(1),
+        BallCollect(2),
+    )
+
+    def test_run_inprocess_serve_families_at_scale(self):
+        net = erdos_renyi(2000, 8 / 1999, seed=1)
+        for algo in self.SERVE_FAMILIES:
+            vec = run_inprocess(net, algo, seed=11, engines=VECTOR)
+            assert vec == run_inprocess(net, algo, seed=11, engines=REFERENCE), algo.name
 
     @_SETTINGS
     @given(

@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.algorithms import BallCollect, MinIdAggregation
-from repro.algorithms.runner import _AlgorithmProgram, run_direct
+from repro.algorithms.runner import _AlgorithmProgram, node_tapes, run_direct
 from repro.core import SamplerParams
 from repro.core.distributed import simulate_sampler
 from repro.core.distributed.program import SamplerProgram
@@ -145,9 +145,10 @@ def run_flood(net, radius, seed, scheduler):
 
 def run_algorithm(net, algo, seed, scheduler):
     t = algo.rounds(net.n)
+    tapes = node_tapes(seed)
     return run_program(
         net,
-        lambda node: _AlgorithmProgram(node, algo, seed, t),
+        lambda node: _AlgorithmProgram(node, algo, tapes, t),
         seed=seed,
         max_rounds=t + 2,
         scheduler=scheduler,
